@@ -23,7 +23,7 @@ from .core import (
 )
 from .constructor import StageConstants
 from .errors import HeuristicFailure, NotGallai, PreconditionViolation, RangeError
-from .verifier import Embedding, find_gallai_partition, find_rainbow_triangle
+from .verifier import Embedding, find_rainbow_triangle, search_gallai_partition
 
 KIND_RAINBOW_KM = "RainbowKmForced"
 KIND_TREE = "TreeForced"
@@ -366,10 +366,8 @@ def peel_splitting_process(col: Colouring, stop: int,
     trace = PeelTrace(col.n, stop)
     while len(active) > stop:
         sub = col.induced(active)
-        out = find_gallai_partition(sub)
-        if out.rainbow_triangle is not None:
-            w = out.rainbow_triangle
-            raise NotGallai(Embedding(tuple(active[v - 1] for v in w.vertices)))
+        # induced sub-colourings of a Gallai colouring are Gallai: no rescan
+        out = search_gallai_partition(sub)
         if out.partition is None:
             raise HeuristicFailure(
                 f"no partition found on a {len(active)}-vertex Gallai block")

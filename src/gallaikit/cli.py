@@ -129,15 +129,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", help="target for the general kind")
     p.add_argument("--out", help="write the certificate here")
 
-    for name in ("oracle", "sweep"):
-        p = sub.add_parser(name, help="exhaustive realizability table and agreement report")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n-max", type=int, required=True)
-        p.add_argument("--target", default="builtin:K3")
-        p.add_argument("--budget", type=int, default=5_000_000,
-                       help="node budget per sequence")
-        p.add_argument("--total-budget", type=int, default=100_000_000)
-        p.add_argument("--out-dir", default=".")
+    p = sub.add_parser("oracle", help="exhaustive realizability table and agreement report")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--target", default="builtin:K3")
+    p.add_argument("--budget", type=int, default=5_000_000,
+                   help="node budget per sequence")
+    p.add_argument("--total-budget", type=int, default=100_000_000)
+    p.add_argument("--out-dir", default=".")
     return parser
 
 
@@ -196,14 +195,16 @@ def _cmd_verify(args) -> int:
     if args.target:
         H = _load_target(args.target)
         if H.m == 3 and len(H.edges) == 3:
-            w = find_rainbow_triangle(col)
-            if w is not None:
-                failures.append(w.witness_line("TRIANGLE"))
-            elif col.n <= 64:
+            if 2 <= col.n <= 64:
                 out = find_gallai_partition(col)
+                w = out.rainbow_triangle
                 if out.partition is not None:
                     for line in partition_lines(out.partition):
                         print(line)
+            else:
+                w = find_rainbow_triangle(col)
+            if w is not None:
+                failures.append(w.witness_line("TRIANGLE"))
         else:
             hit = find_rainbow_subgraph(col, H, node_budget=args.budget)
             if hit.found:

@@ -23,6 +23,7 @@ from .errors import (
     BatchInfeasible,
     BudgetExceeded,
     CushionTooSmall,
+    GallaiKitError,
     NotConstructed,
     PreconditionViolation,
     StagedInfeasible,
@@ -48,10 +49,6 @@ class SplitCertificate:
     k: int
     steps: list[StepRecord]
     metadata: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def edges_coloured(self) -> int:
-        return sum(s.t * (s.hi - s.lo + 1 - s.t) for s in self.steps)
 
 
 class SplitState:
@@ -126,6 +123,8 @@ class SplitState:
             raise BadSize(f"block [{lo}..{hi}] has size {size} < 2")
         if not 1 <= t <= size // 2:
             raise TooLargeT(f"t={t} violates 1 <= t <= floor({size}/2) = {size // 2}")
+        if not 1 <= colour <= self.k:
+            raise PreconditionViolation(f"colour {colour} outside [1..{self.k}]")
         need = t * (size - t)
         if self.budgets[colour - 1] < need:
             raise BudgetExceeded(
@@ -156,21 +155,48 @@ class SplitState:
         return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata or {}))
 
 
+@dataclass
+class VerificationReport:
+    ok: bool
+    failed_step: int | None = None
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def replay_certificate(cert: SplitCertificate, budgets) -> tuple[VerificationReport, np.ndarray]:
+    """Apply cert's steps to {[1..n]} under the given per-colour budgets and
+    paint each step's crossing edges into an n x n matrix.
+
+    The report names the first step whose block is not active or that
+    SplitState.apply_step refuses; it also fails when the budgets do not sum
+    to C(n,2) or blocks are left uncoloured. On success every edge is painted.
+    """
+    n = cert.n
+    matrix = np.zeros((n, n), dtype=np.int32)
+    try:
+        state = SplitState.initial(n, budgets)
+    except ValueError as ex:
+        return VerificationReport(False, None, str(ex)), matrix
+    for idx, step in enumerate(cert.steps, start=1):
+        lo, hi, t = step.lo, step.hi, step.t
+        if state.blocks.get(lo) != hi:
+            return VerificationReport(False, idx, f"no active block [{lo}..{hi}]"), matrix
+        try:
+            state.apply_step(lo, t, step.colour)
+        except GallaiKitError as ex:
+            return VerificationReport(False, idx, str(ex)), matrix
+        matrix[lo - 1:hi - t, hi - t:hi] = step.colour
+        matrix[hi - t:hi, lo - 1:hi - t] = step.colour
+    if state.blocks:
+        return VerificationReport(False, None, f"{len(state.blocks)} blocks left uncoloured"), matrix
+    return VerificationReport(True), matrix
+
+
 # ---------------------------------------------------------------------------
 # Step primitives
 # ---------------------------------------------------------------------------
-
-def standard_step(state: SplitState, block_lo: int, t: int, colour: int) -> SplitState:
-    """One standard colouring step of size t on the block starting at block_lo."""
-    state.apply_step(block_lo, t, colour)
-    return state
-
-
-def simple_step(state: SplitState, block_lo: int, colour: int) -> SplitState:
-    """A standard colouring step of size 1."""
-    state.apply_step(block_lo, 1, colour)
-    return state
-
 
 def cushion(state: SplitState, block_lo: int) -> int:
     """Spare budget for a block: total budgets minus C(size,2), which equals
@@ -287,7 +313,6 @@ class StageConstants:
 
     alpha: Fraction = Fraction(1, 10)
     beta: Fraction = Fraction(5_000_000)
-    log_base: str = "natural"
 
     def _floor_scaled(self, coeff: Fraction, k: int, power: Fraction) -> int:
         with mp.workdps(50):
@@ -345,6 +370,13 @@ class StageDerived:
 # Staged constructor
 # ---------------------------------------------------------------------------
 
+def _require_good(n: int, seq: DistributionSequence) -> None:
+    if seq.n != n:
+        raise PreconditionViolation(f"sequence is for n={seq.n}, not {n}")
+    if not is_n_good(seq):
+        raise PreconditionViolation("sequence is not n-good")
+
+
 def _max_step_size(x: int, budget: int) -> int:
     """Largest c with 1 <= c <= (x-1)//2 and c*(x-c) <= budget; 0 when none."""
     cap = (x - 1) // 2
@@ -369,10 +401,7 @@ def construct_staged(n: int, seq: DistributionSequence,
     Raises StagedInfeasible naming the stage and inequality whenever a stage
     precondition fails at this scale; callers fall back to construct_greedy.
     """
-    if seq.n != n:
-        raise PreconditionViolation(f"sequence is for n={seq.n}, not {n}")
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
+    _require_good(n, seq)
     constants = constants or StageConstants()
     k = seq.k
     if k < 2:
@@ -384,7 +413,7 @@ def construct_staged(n: int, seq: DistributionSequence,
         "strategy": "staged",
         "alpha": str(constants.alpha),
         "beta": str(constants.beta),
-        "log": constants.log_base,
+        "log": "natural",
         "r_raw": str(d.r_raw), "r": str(d.r), "r_clamped": str(d.r_clamped),
         "c_raw": str(d.c_raw), "c": str(d.c), "c_clamped": str(d.c_clamped),
     }
@@ -525,10 +554,7 @@ def construct_greedy(n: int, seq: DistributionSequence,
     budgets) multiset pair. Instances with n <= 12 are always exhausted, so
     "infeasible" is a proof there; larger instances give up past node_budget.
     """
-    if seq.n != n:
-        raise PreconditionViolation(f"sequence is for n={seq.n}, not {n}")
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
+    _require_good(n, seq)
     fast = SplitState.initial(n, seq.e)
     if greedy_descent(fast):
         return GreedyResult("certificate", fast.to_certificate({"strategy": "greedy"}))
@@ -553,9 +579,10 @@ def construct_greedy(n: int, seq: DistributionSequence,
             return False
         lo, hi = big
         size = hi - lo + 1
+        # undo_last_step restores the budgets before the next t, so one order serves all t
+        order = sorted(range(1, state.k + 1), key=lambda j: (-budgets[j - 1], j))
         for t in range(1, size // 2 + 1):
             need = t * (size - t)
-            order = sorted(range(1, state.k + 1), key=lambda j: (-budgets[j - 1], j))
             seen_budgets: set[int] = set()
             for j in order:
                 b = budgets[j - 1]
@@ -605,10 +632,7 @@ class PeelRecord:
 
 def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colouring, list[PeelRecord]]:
     """construct_mindeg3 plus the peel log used by structural checks."""
-    if seq.n != n:
-        raise PreconditionViolation(f"sequence is for n={seq.n}, not {n}")
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
+    _require_good(n, seq)
     live = [(e, j + 1) for j, e in enumerate(seq.e) if e > 0]
     k_eff = len(live)
     if n < 2 * k_eff:
@@ -668,16 +692,18 @@ def construct_mindeg3(n: int, seq: DistributionSequence) -> Colouring:
 # ---------------------------------------------------------------------------
 
 def realize_certificate(cert: SplitCertificate) -> Colouring:
-    """Replay a certificate into the concrete edge colouring it describes."""
-    n = cert.n
-    matrix = np.zeros((n, n), dtype=np.int32)
-    for step in cert.steps:
-        cut = step.hi - step.t
-        matrix[step.lo - 1:cut, cut:step.hi] = step.colour
-        matrix[cut:step.hi, step.lo - 1:cut] = step.colour
-    if n > 1 and int(matrix[~np.eye(n, dtype=bool)].min()) == 0:
-        raise ValueError("certificate does not colour every edge")
-    return Colouring(n, cert.k, matrix)
+    """Replay a certificate into the concrete edge colouring it describes,
+    under the per-colour totals its own steps spend; ValueError when the
+    replay fails."""
+    totals = [0] * cert.k
+    for s in cert.steps:
+        if 1 <= s.colour <= cert.k:
+            totals[s.colour - 1] += s.t * (s.hi - s.lo + 1 - s.t)
+    report, matrix = replay_certificate(cert, totals)
+    if not report.ok:
+        where = f" at step {report.failed_step}" if report.failed_step else ""
+        raise ValueError(f"certificate does not replay{where}: {report.reason}")
+    return Colouring(cert.n, cert.k, matrix)
 
 
 def _arbitrary_colouring(n: int, seq: DistributionSequence) -> Colouring:
@@ -708,7 +734,6 @@ class ConstructionResult:
 
 def construct(H: TargetGraph, n: int, seq: DistributionSequence,
               strategy: str = "auto",
-              constants: StageConstants | None = None,
               node_budget: int = 500_000) -> ConstructionResult:
     """Build a rainbow-H-free colouring realising seq, dispatching on the
     degeneracy of H; raises NotConstructed (with the reason chain) when no
@@ -717,10 +742,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
     from . import bounds
     from .verifier import find_rainbow_subgraph, find_rainbow_tree
 
-    if seq.n != n:
-        raise PreconditionViolation(f"sequence is for n={seq.n}, not {n}")
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
+    _require_good(n, seq)
     deg = degeneracy(H)
     k_eff = sum(1 for e in seq.e if e > 0)
     reasons: list[str] = []
@@ -741,18 +763,13 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
 
     if strategy == "staged":
         try:
-            cert = construct_staged(n, seq, constants)
+            cert = construct_staged(n, seq)
         except StagedInfeasible as ex:
             raise NotConstructed([str(ex)]) from ex
         return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
 
     if strategy == "greedy":
-        res = construct_greedy(n, seq, node_budget)
-        if res.status == "certificate":
-            return ConstructionResult("ok", realize_certificate(res.certificate),
-                                      res.certificate, "greedy")
-        reasons.append(f"greedy: {res.status}")
-        return _infeasible_or_not_constructed(H, n, seq, deg, reasons, bounds)
+        return _greedy_or_clash(H, n, seq, node_budget, reasons)
 
     # auto dispatch
     if deg >= 3 and n >= 2 * k_eff:
@@ -763,16 +780,11 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
 
     if deg >= 2:
         try:
-            cert = construct_staged(n, seq, constants)
+            cert = construct_staged(n, seq)
             return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
         except StagedInfeasible as ex:
             reasons.append(str(ex))
-        res = construct_greedy(n, seq, node_budget)
-        if res.status == "certificate":
-            return ConstructionResult("ok", realize_certificate(res.certificate),
-                                      res.certificate, "greedy")
-        reasons.append(f"greedy: {res.status}")
-        return _infeasible_or_not_constructed(H, n, seq, deg, reasons, bounds)
+        return _greedy_or_clash(H, n, seq, node_budget, reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.
     tf = bounds.tree_forced_check(seq, H.m) if H.edges else None
@@ -809,7 +821,17 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
         witness=witness)
 
 
-def _infeasible_or_not_constructed(H, n, seq, deg, reasons, bounds) -> ConstructionResult:
+def _greedy_or_clash(H: TargetGraph, n: int, seq: DistributionSequence,
+                     node_budget: int, reasons: list[str]) -> ConstructionResult:
+    """The greedy certificate realised; failing that, the clash-bound
+    infeasibility certificate; failing that, NotConstructed with the reasons."""
+    from . import bounds
+
+    res = construct_greedy(n, seq, node_budget)
+    if res.status == "certificate":
+        return ConstructionResult("ok", realize_certificate(res.certificate),
+                                  res.certificate, "greedy")
+    reasons.append(f"greedy: {res.status}")
     if H.m >= 3 and n >= H.m:
         cert = bounds.clash_bound_check(seq, H.m)
         if cert is not None:

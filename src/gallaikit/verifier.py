@@ -1,4 +1,4 @@
-"""Rainbow-substructure searches, Gallai partitions, certificate replay checks.
+"""Rainbow-substructure searches, Gallai partitions, certificate checks.
 
 All searches are deterministic and return the lexicographically least witness
 under vertex order, so test fixtures are reproducible.
@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructor import SplitCertificate, VerificationReport, replay_certificate
 from .core import Colouring, DistributionSequence, TargetGraph
 from .errors import PreconditionViolation, StructuralMismatch
 
@@ -375,21 +376,29 @@ def _build_partition(col: Colouring, parts: list[list[int]]) -> GallaiPartition:
 
 
 def find_gallai_partition(col: Colouring) -> GallaiSearch:
-    """Find a Gallai partition of col, preferring one where every base colour
-    covers at least n-1 inter-part edges.
-
-    Tries every candidate base set (all singletons of used colours, then all
-    pairs); for each, the components of the non-base edges are coarsened to
-    the finest partition with monochromatic part pairs. Returns no partition
-    only alongside a rainbow-triangle witness, or with heuristic_failure set
-    (never observed: the base-set enumeration plus finest coarsening is
-    complete whenever a partition exists).
-    """
-    if col.n < 2:
-        raise PreconditionViolation("need n >= 2")
+    """Scan col for a rainbow triangle and, when there is none, search for a
+    Gallai partition with search_gallai_partition. Returns no partition only
+    alongside a rainbow-triangle witness, or with heuristic_failure set."""
     tri = find_rainbow_triangle(col)
     if tri is not None:
         return GallaiSearch(None, rainbow_triangle=tri)
+    return search_gallai_partition(col)
+
+
+def search_gallai_partition(col: Colouring) -> GallaiSearch:
+    """Find a Gallai partition of a colouring already known to be Gallai,
+    preferring one where every base colour covers at least n-1 inter-part
+    edges; no rainbow-triangle scan is made.
+
+    Tries every candidate base set (all singletons of used colours, then all
+    pairs); for each, the components of the non-base edges are coarsened to
+    the finest partition with monochromatic part pairs. heuristic_failure is
+    set when no partition is found (never observed on a Gallai colouring: the
+    base-set enumeration plus finest coarsening is complete whenever a
+    partition exists).
+    """
+    if col.n < 2:
+        raise PreconditionViolation("need n >= 2")
     used = sorted({int(c) for c in col.matrix[np.triu_indices(col.n, k=1)]})
     candidates: list[set[int]] = [{c} for c in used]
     candidates += [{used[i], used[j]} for i in range(len(used) - 1)
@@ -444,61 +453,21 @@ def partition_lines(p: GallaiPartition) -> list[str]:
 # Certificate replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    ok: bool
-    failed_step: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_certificate(cert, col: Colouring, seq: DistributionSequence) -> VerificationReport:
-    """Replay cert from a single block [1..n], checking every step precondition,
-    that budgets never go negative, that the realised colouring matches col
-    edge-for-edge, and that the final counts equal seq."""
+def verify_certificate(cert: SplitCertificate, col: Colouring,
+                       seq: DistributionSequence) -> VerificationReport:
+    """Replay cert under seq's budgets (replay_certificate checks every step
+    precondition, the budgets and that every block is coloured), then compare
+    the realised colouring with col edge for edge."""
     if not (cert.n == col.n == seq.n):
         raise StructuralMismatch(f"n mismatch: cert={cert.n} colouring={col.n} seq={seq.n}")
     if not (cert.k == col.k == seq.k):
         raise StructuralMismatch(f"k mismatch: cert={cert.k} colouring={col.k} seq={seq.k}")
-    n, k = cert.n, cert.k
-    budgets = list(seq.e)
-    active: dict[int, int] = {1: n} if n >= 2 else {}
-    realized = np.zeros((n, n), dtype=np.int32)
-    for idx, step in enumerate(cert.steps, start=1):
-        lo, hi, t, colour = step.lo, step.hi, step.t, step.colour
-        if active.get(lo) != hi:
-            return VerificationReport(False, idx, f"no active block [{lo}..{hi}]")
-        size = hi - lo + 1
-        if size < 2:
-            return VerificationReport(False, idx, f"block size {size} < 2")
-        if not 1 <= t <= size // 2:
-            return VerificationReport(False, idx, f"t={t} outside [1..{size // 2}]")
-        if not 1 <= colour <= k:
-            return VerificationReport(False, idx, f"colour {colour} outside [1..{k}]")
-        need = t * (size - t)
-        if budgets[colour - 1] < need:
-            return VerificationReport(
-                False, idx,
-                f"budget violation: colour {colour} has {budgets[colour - 1]} < {need}")
-        budgets[colour - 1] -= need
-        realized[lo - 1:hi - t, hi - t:hi] = colour
-        realized[hi - t:hi, lo - 1:hi - t] = colour
-        del active[lo]
-        if size - t >= 2:
-            active[lo] = hi - t
-        if t >= 2:
-            active[hi - t + 1] = hi
-    if active:
-        return VerificationReport(False, None, f"{len(active)} blocks left uncoloured")
-    if any(b != 0 for b in budgets):
-        return VerificationReport(False, None, f"unconsumed budgets {budgets}")
-    if not np.array_equal(realized, col.matrix):
+    report, realized = replay_certificate(cert, seq.e)
+    if report.ok and not np.array_equal(realized, col.matrix):
         diff = np.argwhere(realized != col.matrix)
         u, v = int(diff[0][0]) + 1, int(diff[0][1]) + 1
         return VerificationReport(
             False, None,
             f"edge ({min(u, v)},{max(u, v)}): certificate gives "
             f"{int(realized[u - 1, v - 1])}, colouring has {int(col.matrix[u - 1, v - 1])}")
-    return VerificationReport(True)
+    return report

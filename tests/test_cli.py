@@ -83,6 +83,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PARTITION base=" in out and "OK" in out
 
+    def test_single_vertex_round_trip(self, tmp_path, capsys):
+        col = tmp_path / "out.col"
+        assert run("construct", "--target", "builtin:K3", "--n", "1",
+                   "--seq", "0", "--out", col) == 0
+        capsys.readouterr()
+        assert run("verify", "--colouring", col, "--target", "builtin:K3") == 0
+        assert capsys.readouterr().out == "OK\n"
+
     def test_exhaustive_c4_verdict(self, tmp_path):
         col = tmp_path / "out.col"
         assert run("construct", "--target", "builtin:C4", "--n", "8",
@@ -163,7 +171,7 @@ class TestOracleCommand:
         assert "# disagreements=0" in agree
 
     def test_k3_table_has_mandatory_entry(self, tmp_path):
-        code = run("sweep", "--k", "3", "--n-max", "4", "--out-dir", tmp_path)
+        code = run("oracle", "--k", "3", "--n-max", "4", "--out-dir", tmp_path)
         assert code == 0
         table = (tmp_path / "realizability_k3_k3.txt").read_text()
         assert "1 1 1 UNREALIZABLE" in table

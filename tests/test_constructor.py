@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -24,8 +25,6 @@ from gallaikit.constructor import (
     read_certificate,
     realize_certificate,
     reduce_large,
-    simple_step,
-    standard_step,
     write_certificate,
 )
 from gallaikit.errors import (
@@ -51,19 +50,19 @@ from conftest import random_sequence
 class TestStandardStep:
     def test_arithmetic(self):
         st = SplitState.synthetic([6], [9, 6])
-        standard_step(st, 1, 2, 1)
+        st.apply_step(1, 2, 1)
         assert st.budgets == [1, 6]
         assert sorted(st.blocks.items()) == [(1, 4), (5, 6)]
 
     def test_too_large_t(self):
         st = SplitState.synthetic([5], [10])
         with pytest.raises(TooLargeT):
-            standard_step(st, 1, 3, 1)
+            st.apply_step(1, 3, 1)
 
     def test_budget_exceeded(self):
         st = SplitState.synthetic([6], [7, 8])
         with pytest.raises(BudgetExceeded):
-            standard_step(st, 1, 2, 1)
+            st.apply_step(1, 2, 1)
 
     def test_conservation_after_any_legal_step(self, rng):
         # state {K5, K3, K2} with budgets summing to 10+3+1 = 14
@@ -82,25 +81,25 @@ class TestStandardStep:
             if not moves:
                 continue
             lo, t, c = rng.choice(moves)
-            standard_step(st, lo, t, c)
+            st.apply_step(lo, t, c)
             assert st.conservation_holds()
 
 
 class TestSimpleStep:
     def test_colours_m_minus_one(self):
         st = SplitState.synthetic([7], [21])
-        simple_step(st, 1, 1)
+        st.apply_step(1, 1, 1)
         assert st.budgets == [15]
 
     def test_block_of_two_dissolves(self):
         st = SplitState.synthetic([2], [1])
-        simple_step(st, 1, 1)
+        st.apply_step(1, 1, 1)
         assert st.done
 
     def test_budget_short_by_one(self):
         st = SplitState.synthetic([5, 2], [3, 8])
         with pytest.raises(BudgetExceeded):
-            simple_step(st, 1, 1)
+            st.apply_step(1, 1, 1)
 
 
 class TestCushion:
@@ -240,6 +239,23 @@ class TestConstructGreedy:
                 col = realize_certificate(res.certificate)
                 assert colour_counts(col) == list(seq.e)
                 assert verify_certificate(res.certificate, col, seq).ok
+
+    @pytest.mark.parametrize("line, nodes, steps_sha256", [
+        ("42 129 34 214 62 5 16 78 177 40 106", 1568,
+         "c6a5331671231532c7f207704fcd663c7057b8538bb7e46d107a474a3d00b0c6"),
+        ("48 5 270 224 16 369 1 30 60 19 41 16 77", 1715,
+         "664075cf0a8741507a0343be64101de26d5d3498b6b9231c0bd8760d57ccf061"),
+    ])
+    def test_search_nodes_and_steps_pinned(self, line, nodes, steps_sha256):
+        # sequences from the k3-search benchmark pool on which the descent
+        # fails; the depth-first search must visit the same nodes and emit
+        # the same steps as before the colour order was hoisted out of the t loop
+        n, *e = (int(x) for x in line.split())
+        res = construct_greedy(n, DistributionSequence.of(n, e))
+        assert res.status == "certificate"
+        assert res.nodes == nodes
+        text = "".join(f"{s.lo} {s.hi} {s.t} {s.colour}\n" for s in res.certificate.steps)
+        assert hashlib.sha256(text.encode()).hexdigest() == steps_sha256
 
 
 class TestConstructStaged:

@@ -4,12 +4,22 @@ from math import comb
 
 import pytest
 
-from gallaikit.core import Colouring, DistributionSequence, TargetGraph
+import gallaikit
+from gallaikit import bounds, cli, verifier
+from gallaikit.cli import main
+from gallaikit.core import (
+    Colouring,
+    DistributionSequence,
+    TargetGraph,
+    write_colouring,
+    write_sequence,
+)
 from gallaikit.constructor import (
     SplitCertificate,
     StepRecord,
     construct_greedy,
     realize_certificate,
+    write_certificate,
 )
 from gallaikit.errors import PreconditionViolation, StructuralMismatch
 from gallaikit.verifier import (
@@ -289,3 +299,87 @@ class TestVerifyCertificate:
         col = realize_certificate(cert)
         with pytest.raises(StructuralMismatch):
             verify_certificate(cert, col, DistributionSequence.of(6, (7, 8, 0)))
+
+
+class TestReplayKernel:
+    """Damaged copies of one greedy certificate: every replay check must fail
+    at the right step, in verify_certificate, realize_certificate and the CLI."""
+
+    SEQ = DistributionSequence.of(6, (1, 1, 13))
+    STEPS = [StepRecord(1, 6, 1, 3), StepRecord(1, 5, 1, 3), StepRecord(1, 4, 2, 3),
+             StepRecord(1, 2, 1, 1), StepRecord(3, 4, 1, 2)]
+    # name -> (steps, sequence budgets, failed_step, structural)
+    CASES = {
+        "dropped step": (STEPS[:1] + STEPS[2:], None, 2, True),
+        "repeated step": (STEPS[:1] + STEPS, None, 2, True),
+        "inactive block": (STEPS[:4] + [StepRecord(5, 6, 1, 2)], None, 5, True),
+        "colour 0": (STEPS[:3] + [StepRecord(1, 2, 1, 0)] + STEPS[4:], None, 4, True),
+        "colour k+1": (STEPS[:3] + [StepRecord(1, 2, 1, 4)] + STEPS[4:], None, 4, True),
+        "t > size/2": (STEPS[:2] + [StepRecord(1, 4, 3, 3)] + STEPS[3:], None, 3, True),
+        "over-budget colour": ([StepRecord(1, 6, 1, 1)] + STEPS[1:], None, 1, False),
+        "left-over block": (STEPS[:4], None, None, True),
+        "not n-good": (STEPS, (1, 1, 14), None, False),
+    }
+
+    def test_greedy_certificate_is_the_undamaged_one(self):
+        res = construct_greedy(6, self.SEQ)
+        assert res.certificate.steps == self.STEPS
+        assert verify_certificate(res.certificate, realize_certificate(res.certificate),
+                                  self.SEQ).ok
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_damaged_certificate_fails(self, case, tmp_path, capsys):
+        steps, budgets, failed_step, structural = self.CASES[case]
+        cert = SplitCertificate(6, 3, steps)
+        col = realize_certificate(SplitCertificate(6, 3, self.STEPS))
+        seq = DistributionSequence.of(6, budgets) if budgets else self.SEQ
+        report = verify_certificate(cert, col, seq)
+        assert not report.ok
+        assert report.failed_step == failed_step
+        if structural:
+            with pytest.raises(ValueError):
+                realize_certificate(cert)
+
+        col_path, cert_path, seq_path = (tmp_path / f for f in ("c.col", "c.cert", "s.seq"))
+        write_colouring(col, str(col_path))
+        write_certificate(cert, str(cert_path))
+        write_sequence(seq, str(seq_path))
+        code = main(["verify", "--colouring", str(col_path), "--cert", str(cert_path),
+                     "--seq", str(seq_path)])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert "certificate replay failed" in out
+
+
+class TestOneTriangleScan:
+    """Being Gallai is hereditary, so one rainbow-triangle scan per colouring
+    settles it and every block cut from it."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counted(col):
+            calls.append(col.n)
+            return orig(col)
+
+        orig = verifier.find_rainbow_triangle
+        for mod in (gallaikit, verifier, bounds, cli):
+            if getattr(mod, "find_rainbow_triangle", None) is orig:
+                monkeypatch.setattr(mod, "find_rainbow_triangle", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [8, 70])
+    def test_verify_k3_scans_once(self, n, scans, tmp_path, capsys):
+        col_path = tmp_path / "k3.col"
+        assert main(["construct", "--target", "builtin:K3", "--n", str(n),
+                     "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3"]) == 0
+        assert scans == [n]
+
+    def test_peel_scans_once(self, scans):
+        seq = DistributionSequence.of(12, (30, 20, 16))
+        col = realize_certificate(construct_greedy(12, seq).certificate)
+        trace = bounds.peel_splitting_process(col, stop=1)
+        assert len(trace.steps) > 1
+        assert scans == [12]
