@@ -19,6 +19,7 @@ from .core import (
     DistributionSequence,
     TargetGraph,
     balanced_sequence,
+    colour_counts,
     is_n_good,
 )
 from .constructor import StageConstants
@@ -277,6 +278,8 @@ def balanced_tree_forced_check(n: int, k: int, m: int) -> InfeasibilityCertifica
     """tree_forced_check for the balanced sequence on (n, k), computed from the
     maximum entry alone so that astronomically long sequences need not be
     materialised."""
+    if n < 1 or k < 1:
+        raise PreconditionViolation(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if m < 2:
         raise PreconditionViolation("need m >= 2")
     q, r = divmod(comb(n, 2), k)
@@ -376,12 +379,8 @@ def peel_splitting_process(col: Colouring, stop: int,
         x = len(active)
         t = len(smallest)
         base = tuple(sorted(p.base_colours))
-        base_freq = 0
-        M = sub.matrix
-        for i in range(x - 1):
-            for j in range(i + 1, x):
-                if int(M[i, j]) in p.base_colours:
-                    base_freq += 1
+        counts = colour_counts(sub)
+        base_freq = sum(counts[c - 1] for c in base)
         step = PeelStep(x, t, x - t, base, t * (x - t), base_freq)
         if freq_cap is not None and base_freq <= freq_cap:
             assert Fraction(t) <= Fraction(2 * freq_cap, x), \

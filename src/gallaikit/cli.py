@@ -255,7 +255,8 @@ def _cmd_certify(args) -> int:
         elif args.kind == "general":
             if args.k is None:
                 raise _UsageError("--kind general requires --k")
-            H = _load_target(args.target) if args.target else TargetGraph.complete(args.m or 3)
+            H = (_load_target(args.target) if args.target
+                 else TargetGraph.complete(3 if args.m is None else args.m))
             _, _, cert = bounds.general_lower_sequence(H, args.k)
     except RangeError as ex:
         print(f"no certificate: {ex}", file=sys.stderr)

@@ -406,6 +406,8 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     """For each n <= n_max, decide every n-good sequence (as a descending
     multiset; realizability is permutation-invariant). Budget exhaustion
     leaves inconclusive entries and flags the report as partial."""
+    if k < 1:
+        raise PreconditionViolation(f"need k >= 1, got k={k}")
     report = ExactGReport(H, k, n_max)
     spent = 0
     for n in range(2, n_max + 1):

@@ -6,6 +6,7 @@ under vertex order, so test fixtures are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -275,26 +276,6 @@ def find_rainbow_tree(col: Colouring, H: TargetGraph,
 # Gallai partitions
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass
 class GallaiPartition:
     """Vertex partition whose inter-part edges use at most two base colours,
@@ -313,53 +294,19 @@ class GallaiSearch:
     heuristic_failure: bool = False
 
 
-def _components_avoiding(col: Colouring, base: set[int]) -> list[list[int]]:
-    n = col.n
-    uf = _UnionFind(n)
-    M = col.matrix
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if int(M[i, j]) not in base:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v + 1)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
-def _pair_colours(col: Colouring, a: list[int], b: list[int], cap: int = 2) -> set[int]:
-    seen: set[int] = set()
-    for u in a:
-        for v in b:
-            seen.add(col.colour_of(u, v))
-            if len(seen) >= cap:
-                return seen
-    return seen
-
-
-def _finest_mono_coarsening(col: Colouring, parts: list[list[int]]) -> list[list[int]] | None:
-    """Merge any part pair whose crossing edges use >= 2 colours, to fixpoint.
-
-    Every valid coarsening must contain these merges, so the result is the
-    unique finest partition with monochromatic part pairs; None when the
-    fixpoint collapses to a single part.
-    """
-    parts = [sorted(p) for p in parts]
-    changed = True
-    while changed and len(parts) > 1:
-        changed = False
-        for i in range(len(parts) - 1):
-            for j in range(i + 1, len(parts)):
-                if len(_pair_colours(col, parts[i], parts[j])) >= 2:
-                    merged = sorted(parts[i] + parts[j])
-                    parts = [p for idx, p in enumerate(parts) if idx not in (i, j)]
-                    parts.append(merged)
-                    parts.sort(key=lambda p: p[0])
-                    changed = True
-                    break
-            if changed:
-                break
-    return parts if len(parts) > 1 else None
+def _components(join: np.ndarray) -> np.ndarray:
+    """Label each vertex with the least vertex (0-based) of its component of
+    the symmetric boolean n x n relation join, by a frontier BFS over rows."""
+    label = np.full(join.shape[0], -1, dtype=np.intp)
+    for v in range(join.shape[0]):
+        if label[v] >= 0:
+            continue
+        label[v] = v
+        frontier = np.array([v])
+        while frontier.size:
+            frontier = np.flatnonzero(join[frontier].any(axis=0) & (label < 0))
+            label[frontier] = v
+    return label
 
 
 def _build_partition(col: Colouring, parts: list[list[int]]) -> GallaiPartition:
@@ -391,27 +338,33 @@ def search_gallai_partition(col: Colouring) -> GallaiSearch:
     edges; no rainbow-triangle scan is made.
 
     Tries every candidate base set (all singletons of used colours, then all
-    pairs); for each, the components of the non-base edges are coarsened to
-    the finest partition with monochromatic part pairs. heuristic_failure is
-    set when no partition is found (never observed on a Gallai colouring: the
-    base-set enumeration plus finest coarsening is complete whenever a
-    partition exists).
+    pairs). For each, the parts are the components of the non-base edges:
+    every Gallai partition with that base set keeps each such edge inside a
+    part, so this is the finest partition it can be. On a Gallai colouring
+    its part pairs are already one colour each: if a-a' is a non-base edge
+    and c lies in another part, the triangle a a' c is not rainbow, so
+    colour(a,c) = colour(a',c). A candidate whose part pairs are not one
+    colour (possible only on a colouring that is not Gallai) is skipped.
+
+    Every Gallai colouring on n >= 2 vertices has a partition with at most
+    two base colours (Gallai 1967). Its base set is a candidate, and the
+    components for it refine that partition, so they form two or more parts.
+    On a Gallai colouring heuristic_failure can therefore only mean an
+    internal fault.
     """
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
-    used = sorted({int(c) for c in col.matrix[np.triu_indices(col.n, k=1)]})
-    candidates: list[set[int]] = [{c} for c in used]
-    candidates += [{used[i], used[j]} for i in range(len(used) - 1)
-                   for j in range(i + 1, len(used))]
+    M = col.matrix
+    used = np.unique(M[np.triu_indices(col.n, k=1)]).tolist()
+    candidates = [(c,) for c in used] + list(combinations(used, 2))
     fallback: GallaiPartition | None = None
     for base in candidates:
-        parts = _components_avoiding(col, base)
-        if len(parts) < 2:
+        label = _components(~np.isin(M, base))
+        crossing = label[:, None] != label[None, :]
+        if not crossing.any() or (crossing & (M != M[np.ix_(label, label)])).any():
             continue
-        parts2 = _finest_mono_coarsening(col, parts)
-        if parts2 is None:
-            continue
-        partition = _build_partition(col, parts2)
+        parts = [(np.flatnonzero(label == rep) + 1).tolist() for rep in np.unique(label)]
+        partition = _build_partition(col, parts)
         if partition.moreover_holds:
             return GallaiSearch(partition)
         if fallback is None:

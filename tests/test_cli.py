@@ -1,3 +1,5 @@
+import pytest
+
 from gallaikit.cli import main
 from gallaikit.bounds import read_infeasibility
 from gallaikit.core import (
@@ -159,6 +161,31 @@ class TestCertifyCommand:
                    "--k", "2000")
         assert code == 0
         assert "RAINBOWKM" in capsys.readouterr().out
+
+    def test_general_kind_defaults_to_k3(self, capsys):
+        assert run("certify", "--kind", "general", "--k", "2000") == 0
+        default = capsys.readouterr().out
+        assert default == "RAINBOWKM 2000 74 3 701 0 0 64123 1 0\n"
+        assert run("certify", "--kind", "general", "--k", "2000", "--m", "3") == 0
+        assert capsys.readouterr().out == default
+
+
+BAD_INPUT = [
+    ["oracle", "--k", "0", "--n-max", "3"],
+    ["oracle", "--k", "-1", "--n-max", "3"],
+    ["certify", "--kind", "tree", "--n", "5", "--k", "0", "--m", "2"],
+    ["certify", "--kind", "tree", "--n", "0", "--k", "1", "--m", "2"],
+    ["certify", "--kind", "general", "--k", "2000", "--m", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=lambda a: " ".join(a))
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    extra = ["--out-dir", str(tmp_path)] if argv[0] == "oracle" else []
+    assert main(argv + extra) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert out == ""
 
 
 class TestOracleCommand:

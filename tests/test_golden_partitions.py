@@ -1,0 +1,110 @@
+"""Golden Gallai partitions and peel traces of seeded small colourings.
+
+Each case builds one colouring from its seed and pins three things in
+`fixtures/golden_partitions.txt`: a digest of the colouring, the outcome of
+`find_gallai_partition` (the partition line and whether the "moreover"
+condition holds, or the rainbow-triangle witness) and the steps of
+`peel_splitting_process(col, 1)`.
+
+Two thirds of the colourings come from recursive substitution: the vertices
+are split into 2-6 consecutive parts, each part pair is joined in one of two
+colours drawn for that level, and the construction recurses into the parts.
+Every such colouring is Gallai, and many need two base colours. The rest are
+uniformly random colourings on 2-4 colours, most of which carry a rainbow
+triangle. Of the 300 cases, 242 have a partition (67 of them with two base
+colours) and 58 a rainbow-triangle witness.
+
+The fixture pins the partitions as the search found them with a union-find
+and a pairwise merge loop, before it became one component labelling. Do not
+regenerate it to make this test pass: a mismatch means a partition or a peel
+changed. `python tests/test_golden_partitions.py` prints the lines for the
+checkout it runs in.
+"""
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from gallaikit.bounds import peel_splitting_process
+from gallaikit.core import Colouring
+from gallaikit.errors import NotGallai
+from gallaikit.verifier import find_gallai_partition, partition_lines
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_partitions.txt"
+CASES = 300
+
+
+def _substitute(rng: random.Random, m: np.ndarray, verts: list[int], k: int) -> None:
+    """Colour the edges among verts (0-based) by recursive substitution."""
+    if len(verts) < 2:
+        return
+    cuts = sorted(rng.sample(range(1, len(verts)), min(len(verts), rng.randint(2, 6)) - 1))
+    parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
+    pair = rng.sample(range(1, k + 1), 2)
+    for i in range(len(parts) - 1):
+        for j in range(i + 1, len(parts)):
+            c = rng.choice(pair)
+            for u in parts[i]:
+                for v in parts[j]:
+                    m[u, v] = m[v, u] = c
+    for part in parts:
+        _substitute(rng, m, part, k)
+
+
+def colouring(seed: int) -> Colouring:
+    """Case seed: substitution for seeds not divisible by 3, else uniform."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    m = np.zeros((n, n), dtype=np.int32)
+    if seed % 3:
+        k = rng.randint(2, 6)
+        _substitute(rng, m, list(range(n)), k)
+    else:
+        k = rng.randint(2, 4)
+        for u in range(n - 1):
+            for v in range(u + 1, n):
+                m[u, v] = m[v, u] = rng.randint(1, k)
+    return Colouring(n, k, m)
+
+
+def case_line(seed: int) -> str:
+    col = colouring(seed)
+    upper = col.matrix[np.triu_indices(col.n, k=1)].astype(np.int32)
+    fields = [f"case={seed}", f"n={col.n}", f"k={col.k}",
+              "col=" + hashlib.sha256(upper.tobytes()).hexdigest()[:16]]
+    out = find_gallai_partition(col)
+    if out.rainbow_triangle is not None:
+        fields.append(out.rainbow_triangle.witness_line())
+    elif out.partition is None:
+        fields.append("HEURISTIC_FAILURE")
+    else:
+        fields += partition_lines(out.partition)
+        fields.append(f"moreover={int(out.partition.moreover_holds)}")
+    try:
+        steps = peel_splitting_process(col, 1).steps
+        fields.append("PEEL " + (";".join(
+            f"{s.x_before},{s.t},{'+'.join(map(str, s.base_colours))},"
+            f"{s.base_edges},{s.base_freq}" for s in steps) or "-"))
+    except NotGallai:
+        fields.append("PEEL not-gallai")
+    return " ".join(fields)
+
+
+def _fixture_lines() -> list[str]:
+    return [ln for ln in FIXTURE.read_text(encoding="utf-8").splitlines()
+            if ln and not ln.startswith("#")]
+
+
+def test_golden_partitions():
+    want = _fixture_lines()
+    assert len(want) == CASES
+    for seed, line in enumerate(want):
+        assert case_line(seed) == line
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(case_line(seed) + "\n" for seed in range(CASES)))

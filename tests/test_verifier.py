@@ -249,6 +249,19 @@ class TestGallaiPartition:
                 assert len({col.colour_of(a, b), col.colour_of(a, c),
                             col.colour_of(b, c)}) == 3
 
+    def test_search_outside_gallai_returns_only_valid_partitions(self, rng):
+        # a rainbow triangle inside one part leaves a valid partition
+        col = Colouring.from_edge_colours(4, 4, {(1, 2): 1, (1, 3): 2, (2, 3): 3,
+                                                 (1, 4): 4, (2, 4): 4, (3, 4): 4})
+        out = verifier.search_gallai_partition(col)
+        assert out.partition.parts == ((1, 2, 3), (4,))
+        rainbow = Colouring.from_edge_colours(3, 3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
+        assert verifier.search_gallai_partition(rainbow).heuristic_failure
+        for _ in range(40):
+            col = random_colouring(rng, rng.randint(2, 9), rng.randint(3, 5))
+            out = verifier.search_gallai_partition(col)
+            assert out.heuristic_failure or verify_gallai_partition(col, out.partition)
+
     def test_partition_serialisation(self):
         out = find_gallai_partition(split_k4())
         lines = partition_lines(out.partition)
