@@ -193,9 +193,11 @@ def triangle_hard_sequence(k: int, constants: StageConstants | None = None
     """The skewed distribution on n = floor(alpha k^1.5 / sqrt(log k)) vertices:
     c entries of a+1, then ceil(k/2)-c entries of a, then floor(k/2) entries of b.
 
-    Raises RangeError naming the failing quantity when k is too small for the
-    derived a to be non-negative.
+    Raises PreconditionViolation for k < 1, and RangeError naming the failing
+    quantity when k is too small for the derived a to be non-negative.
     """
+    if k < 1:
+        raise PreconditionViolation(f"need k >= 1, got k={k}")
     if k < 3:
         raise RangeError("k", k)
     constants = constants or StageConstants()
@@ -307,6 +309,8 @@ def general_lower_sequence(H: TargetGraph, k: int
     m = H.m
     if m < 3:
         raise PreconditionViolation("need a target on at least 3 vertices")
+    if k < 1:
+        raise PreconditionViolation(f"need k >= 1, got k={k}")
     n = k // m ** 3
     if n < 1 or comb(n, 2) < k:
         raise RangeError("C(n,2)", comb(n, 2) if n >= 1 else 0)

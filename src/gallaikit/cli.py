@@ -319,7 +319,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        random.seed(args.seed)
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify":

@@ -17,7 +17,9 @@ from math import comb
 import mpmath as mp
 import numpy as np
 
-from .core import Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good
+from .core import (
+    Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good, lex_colouring, paint_lex,
+)
 from .errors import (
     BadSize,
     BatchInfeasible,
@@ -639,11 +641,6 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
         raise PreconditionViolation(
             f"need n >= 2k for the {k_eff} colours with positive budget; n={n}")
     matrix = np.zeros((n, n), dtype=np.int32)
-
-    def paint(u: int, v: int, c: int) -> None:
-        matrix[u - 1, v - 1] = c
-        matrix[v - 1, u - 1] = c
-
     budgets = {j: e for e, j in live}
     active = n
     records: list[PeelRecord] = []
@@ -652,9 +649,7 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
         if len(order) == 1:
             c = order[0]
             assert budgets[c] == comb(active, 2), "base fill out of balance (internal bug)"
-            for u in range(1, active + 1):
-                for v in range(u + 1, active + 1):
-                    paint(u, v, c)
+            paint_lex(matrix, 1, active, np.full(comb(active, 2), c, np.int32))
             records.append(PeelRecord(1, active, c, c, 0))
             break
         top, bot = order[0], order[-1]
@@ -664,14 +659,7 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
             t += 1
         f = comb(t, 2) + t * (active - t)
         lo = active - t + 1
-        left = e_bot
-        for u in range(1, active + 1):
-            for v in range(max(u + 1, lo), active + 1):
-                if left > 0:
-                    paint(u, v, bot)
-                    left -= 1
-                else:
-                    paint(u, v, top)
+        paint_lex(matrix, lo, active, np.repeat(np.int32([bot, top]), [e_bot, f - e_bot]))
         budgets[top] -= f - e_bot
         assert budgets[top] > 0, "bulk colour exhausted (internal bug)"
         del budgets[bot]
@@ -706,22 +694,6 @@ def realize_certificate(cert: SplitCertificate) -> Colouring:
     return Colouring(cert.n, cert.k, matrix)
 
 
-def _arbitrary_colouring(n: int, seq: DistributionSequence) -> Colouring:
-    """Lex-order fill honouring the exact counts; no structure guaranteed."""
-    matrix = np.zeros((n, n), dtype=np.int32)
-    stock = [(j + 1, e) for j, e in enumerate(seq.e) if e > 0]
-    it = iter(stock)
-    cur, left = next(it, (0, 0))
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            while left == 0:
-                cur, left = next(it)
-            matrix[u - 1, v - 1] = cur
-            matrix[v - 1, u - 1] = cur
-            left -= 1
-    return Colouring(n, seq.k, matrix)
-
-
 @dataclass
 class ConstructionResult:
     status: str  # "ok" | "infeasible"
@@ -752,7 +724,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
 
     if H.m > n:
         # No copy of H fits at all; any colouring with the right counts works.
-        return ConstructionResult("ok", _arbitrary_colouring(n, seq),
+        return ConstructionResult("ok", lex_colouring(seq),
                                   strategy="trivial-fill",
                                   reasons=[f"target has {H.m} > {n} vertices"])
 
@@ -806,7 +778,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
     else:
         reasons.append(f"greedy: {res.status}")
         cert = None
-        col = _arbitrary_colouring(n, seq)
+        col = lex_colouring(seq)
         attempt = "lex-fill"
     if H.is_tree():
         witness = find_rainbow_tree(col, H)

@@ -226,9 +226,33 @@ class Colouring:
 
 def colour_counts(col: Colouring) -> list[int]:
     """Entry i-1 = number of edges with colour i; entries sum to C(n,2)."""
-    iu = np.triu_indices(col.n, k=1)
-    counts = np.bincount(col.matrix[iu], minlength=col.k + 1)
-    return [int(x) for x in counts[1:col.k + 1]]
+    # the matrix is symmetric with a zero diagonal: each edge is counted twice
+    counts = np.bincount(col.matrix.ravel(), minlength=col.k + 1)
+    return [int(x) // 2 for x in counts[1:col.k + 1]]
+
+
+def paint_lex(matrix: np.ndarray, lo: int, hi: int, stream: np.ndarray) -> None:
+    """Paint the edges (u,v), u < v, with lo <= v <= hi, in lexicographic
+    order with the colours of stream, into both triangles of matrix."""
+    w = hi - lo + 1
+    r = (lo - 1) * w
+    if len(stream) != r + comb(w, 2):
+        raise ValueError(f"stream has {len(stream)} colours for {r + comb(w, 2)} edges")
+    block = np.reshape(stream[:r], (lo - 1, w))
+    matrix[:lo - 1, lo - 1:hi] = block
+    matrix[lo - 1:hi, :lo - 1] = block.T
+    for u in range(lo, hi):
+        row = stream[r:r + hi - u]
+        matrix[u - 1, u:hi] = row
+        matrix[u:hi, u - 1] = row
+        r += hi - u
+
+
+def lex_colouring(seq: DistributionSequence) -> Colouring:
+    """Lex-order fill honouring the exact counts; no structure guaranteed."""
+    matrix = np.zeros((seq.n, seq.n), dtype=np.int32)
+    paint_lex(matrix, 1, seq.n, np.repeat(np.arange(1, seq.k + 1, dtype=np.int32), seq.e))
+    return Colouring(seq.n, seq.k, matrix)
 
 
 # ---------------------------------------------------------------------------

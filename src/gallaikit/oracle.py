@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Colouring, DistributionSequence, TargetGraph, is_n_good
+from .core import Colouring, DistributionSequence, TargetGraph, is_n_good, lex_colouring
 from .errors import PreconditionViolation
 
 REALIZABLE = "realizable"
@@ -99,8 +99,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
         raise PreconditionViolation("sequence is not n-good")
     n, k = seq.n, seq.k
     if H.m > n:
-        from .constructor import _arbitrary_colouring
-        return OracleResult(REALIZABLE, _arbitrary_colouring(n, seq))
+        return OracleResult(REALIZABLE, lex_colouring(seq))
     if not H.edges:
         # every vertex m-subset is a rainbow copy of an edgeless target
         return OracleResult(UNREALIZABLE)
@@ -218,8 +217,7 @@ def _search_triangle_domains(seq: DistributionSequence, node_budget: int,
         if budgets[c - 1] > total:
             return OracleResult(UNREALIZABLE)
     if k == 1:
-        from .constructor import _arbitrary_colouring
-        return OracleResult(REALIZABLE, _arbitrary_colouring(n, seq))
+        return OracleResult(REALIZABLE, lex_colouring(seq))
 
     def shrink(j: int, mask: int, trail: list[tuple[int, int]]) -> bool:
         # cap/forced updates must run to completion even on failure, so that
@@ -408,6 +406,8 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     leaves inconclusive entries and flags the report as partial."""
     if k < 1:
         raise PreconditionViolation(f"need k >= 1, got k={k}")
+    if n_max < 2:
+        raise PreconditionViolation(f"need n_max >= 2, got n_max={n_max}")
     report = ExactGReport(H, k, n_max)
     spent = 0
     for n in range(2, n_max + 1):

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
-from .core import Colouring, DistributionSequence, TargetGraph
+from .core import Colouring, DistributionSequence, TargetGraph, colour_counts
 from .errors import PreconditionViolation, StructuralMismatch
 
 FOUND = "found"
@@ -355,7 +355,7 @@ def search_gallai_partition(col: Colouring) -> GallaiSearch:
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
     M = col.matrix
-    used = np.unique(M[np.triu_indices(col.n, k=1)]).tolist()
+    used = [c for c, count in enumerate(colour_counts(col), 1) if count]
     candidates = [(c,) for c in used] + list(combinations(used, 2))
     fallback: GallaiPartition | None = None
     for base in candidates:

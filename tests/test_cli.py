@@ -176,6 +176,11 @@ BAD_INPUT = [
     ["certify", "--kind", "tree", "--n", "5", "--k", "0", "--m", "2"],
     ["certify", "--kind", "tree", "--n", "0", "--k", "1", "--m", "2"],
     ["certify", "--kind", "general", "--k", "2000", "--m", "0"],
+    ["certify", "--kind", "triangle", "--k", "-5"],
+    ["certify", "--kind", "triangle", "--k", "0"],
+    ["certify", "--kind", "general", "--k", "-3"],
+    ["oracle", "--k", "2", "--n-max", "0"],
+    ["oracle", "--k", "2", "--n-max", "-1"],
 ]
 
 
