@@ -41,6 +41,8 @@ from .verifier import (
     find_rainbow_subgraph,
     find_rainbow_triangle,
     partition_lines,
+    proves_rainbow_free,
+    search_gallai_partition,
     verify_certificate,
 )
 
@@ -95,6 +97,16 @@ def _load_sequence(arg: str, n: int, k: int | None) -> DistributionSequence:
     return DistributionSequence(n, len(entries), entries)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gallaikit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
@@ -117,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target")
     p.add_argument("--cert")
     p.add_argument("--seq")
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=_positive_int, default=2_000_000,
                    help="node budget for the rainbow search")
 
     p = sub.add_parser("certify", help="produce an infeasibility certificate")
@@ -133,9 +145,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--target", default="builtin:K3")
-    p.add_argument("--budget", type=int, default=5_000_000,
+    p.add_argument("--budget", type=_positive_int, default=5_000_000,
                    help="node budget per sequence")
-    p.add_argument("--total-budget", type=int, default=100_000_000)
+    p.add_argument("--total-budget", type=_positive_int, default=100_000_000)
     p.add_argument("--out-dir", default=".")
     return parser
 
@@ -173,39 +185,55 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Check a colouring against its sequence, certificate and target.
+
+    The target is settled by the first of these that applies:
+    - a certificate that replays into the colouring proves it has no rainbow
+      cycle, which settles every target that is not a forest;
+    - the two-colour peel settles targets of degeneracy >= 3;
+    - otherwise a search runs: one rainbow-triangle scan for K3, else the
+      backtracking search under --budget, then the K_m sampler when that
+      runs out.
+    A K3 verify at 2 <= n <= 64 also prints a Gallai partition.
+    """
     col = read_colouring(args.colouring)
+    counts = colour_counts(col)
     failures: list[str] = []
     inconclusive: list[str] = []
 
     seq = read_sequence(args.seq) if args.seq else None
-    if seq is not None and colour_counts(col) != list(seq.e):
-        failures.append(f"counts {colour_counts(col)} != sequence {list(seq.e)}")
+    if seq is not None and counts != list(seq.e):
+        failures.append(f"counts {counts} != sequence {list(seq.e)}")
 
+    cert_ok = False
     if args.cert:
         cert = read_certificate(args.cert)
-        replay_seq = seq or DistributionSequence.of(col.n, colour_counts(col))
+        replay_seq = seq or DistributionSequence.of(col.n, counts)
         try:
             report = verify_certificate(cert, col, replay_seq)
         except StructuralMismatch as ex:
             raise _UsageError(str(ex))
+        cert_ok = report.ok
         if not report.ok:
             where = f" at step {report.failed_step}" if report.failed_step else ""
             failures.append(f"certificate replay failed{where}: {report.reason}")
 
     if args.target:
         H = _load_target(args.target)
+        proof = proves_rainbow_free(col, H, cert_ok)
         if H.m == 3 and len(H.edges) == 3:
+            w = None
             if 2 <= col.n <= 64:
-                out = find_gallai_partition(col)
+                out = find_gallai_partition(col) if proof is None else search_gallai_partition(col)
                 w = out.rainbow_triangle
                 if out.partition is not None:
                     for line in partition_lines(out.partition):
                         print(line)
-            else:
+            elif proof is None:
                 w = find_rainbow_triangle(col)
             if w is not None:
                 failures.append(w.witness_line("TRIANGLE"))
-        else:
+        elif proof is None:
             hit = find_rainbow_subgraph(col, H, node_budget=args.budget)
             if hit.found:
                 failures.append(hit.embedding.witness_line("RAINBOW"))

@@ -585,6 +585,8 @@ def construct_greedy(n: int, seq: DistributionSequence,
         order = sorted(range(1, state.k + 1), key=lambda j: (-budgets[j - 1], j))
         for t in range(1, size // 2 + 1):
             need = t * (size - t)
+            if budgets[order[0] - 1] < need:
+                break  # need grows with t up to size/2: no later t fits either
             seen_budgets: set[int] = set()
             for j in order:
                 b = budgets[j - 1]

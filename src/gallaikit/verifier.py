@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
-from .core import Colouring, DistributionSequence, TargetGraph, colour_counts
+from .core import Colouring, DistributionSequence, TargetGraph, colour_counts, degeneracy
 from .errors import PreconditionViolation, StructuralMismatch
 
 FOUND = "found"
@@ -270,6 +270,66 @@ def find_rainbow_tree(col: Colouring, H: TargetGraph,
             return emb
     res = find_rainbow_subgraph(col, H, node_budget=fallback_budget)
     return res.embedding if res.found else None
+
+
+def peels_two_colours(col: Colouring) -> bool:
+    """True when every vertex can be removed, one at a time, each seeing at
+    most two colours on its edges into the vertices still present.
+
+    Then col has no rainbow subgraph of minimum degree >= 3: the first of its
+    vertices to be removed has three of its edges into the survivors, and they
+    use at most two colours. Removing a vertex never adds a colour elsewhere,
+    so the order does not matter. Counts are kept per (vertex, colour) pair
+    that occurs, so the table has at most n^2 entries whatever k is.
+    """
+    n = col.n
+    M = col.matrix
+    # pair[v, u] names (v, colour of vu) among row v's colours; the diagonal's
+    # 0 is one more pair per row, never counted down
+    pair = np.empty((n, n), dtype=np.intp)
+    colours = np.empty(n, dtype=np.intp)
+    first = 0
+    for v in range(n):
+        used, pair[v] = np.unique(M[v], return_inverse=True)
+        pair[v] += first
+        first += used.size
+        colours[v] = used.size - 1
+    count = np.bincount(pair.ravel())
+    alive = np.ones(n, dtype=bool)
+    stack = np.flatnonzero(colours <= 2).tolist()
+    left = n
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        left -= 1
+        others = np.flatnonzero(alive)
+        ids = pair[others, v]
+        count[ids] -= 1
+        emptied = others[count[ids] == 0]
+        colours[emptied] -= 1
+        stack.extend(emptied[colours[emptied] <= 2].tolist())
+    return left == 0
+
+
+def proves_rainbow_free(col: Colouring, H: TargetGraph, cert_ok: bool) -> str | None:
+    """Name the proof that col has no rainbow copy of H, or None when neither
+    applies and only a search can tell.
+
+    "certificate": cert_ok says a split certificate replayed into col, so col
+    is a standard colouring. A cycle crosses the first split that separates
+    two of its vertices at least twice, in that split's one colour, so col has
+    no rainbow cycle; this settles every H that is not a forest.
+    "peel": H has degeneracy >= 3, so it contains a subgraph of minimum
+    degree >= 3, and peels_two_colours(col) rules out a rainbow copy of one.
+    """
+    d = degeneracy(H)
+    if cert_ok and d >= 2:
+        return "certificate"
+    if d >= 3 and peels_two_colours(col):
+        return "peel"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,25 @@
+"""Smoke test of the benchmark harness: one short run of one workload.
+
+Runs `perfbench/run.py` the way the benchmark does, from the root of the
+checkout, and asserts only that the run checked its outputs and that no
+operation failed. There is no timing gate.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_k3_search_runs_correctly():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "k3-search",
+         "--seed", "3", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr

@@ -3,6 +3,7 @@ import pytest
 from gallaikit.cli import main
 from gallaikit.bounds import read_infeasibility
 from gallaikit.core import (
+    Colouring,
     DistributionSequence,
     read_colouring,
     write_colouring,
@@ -181,12 +182,19 @@ BAD_INPUT = [
     ["certify", "--kind", "general", "--k", "-3"],
     ["oracle", "--k", "2", "--n-max", "0"],
     ["oracle", "--k", "2", "--n-max", "-1"],
+    ["verify", "--target", "builtin:C4", "--budget", "0"],
+    ["verify", "--target", "builtin:C4", "--budget", "-5"],
+    ["oracle", "--k", "2", "--n-max", "3", "--budget", "0"],
+    ["oracle", "--k", "2", "--n-max", "3", "--total-budget", "-1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=lambda a: " ".join(a))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     extra = ["--out-dir", str(tmp_path)] if argv[0] == "oracle" else []
+    if argv[0] == "verify":
+        write_colouring(Colouring.monochromatic(6), tmp_path / "mono.col")
+        extra = ["--colouring", str(tmp_path / "mono.col")]
     assert main(argv + extra) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error:")

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import gallaikit
@@ -18,6 +20,8 @@ from gallaikit.constructor import (
     SplitCertificate,
     StepRecord,
     construct_greedy,
+    construct_mindeg3,
+    read_certificate,
     realize_certificate,
     write_certificate,
 )
@@ -32,11 +36,13 @@ from gallaikit.verifier import (
     find_rainbow_triangle,
     colour_degree,
     partition_lines,
+    peels_two_colours,
+    proves_rainbow_free,
     verify_certificate,
     verify_gallai_partition,
 )
 
-from conftest import brute_force_rainbow_triangles, random_colouring
+from conftest import brute_force_rainbow_triangles, random_colouring, random_sequence
 
 
 def split_k4() -> Colouring:
@@ -390,9 +396,119 @@ class TestOneTriangleScan:
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3"]) == 0
         assert scans == [n]
 
+    @pytest.mark.parametrize("n", [8, 70])
+    def test_verify_k3_with_certificate_scans_none(self, n, scans, tmp_path, capsys):
+        col_path, cert_path = tmp_path / "k3.col", tmp_path / "k3.cert"
+        assert main(["construct", "--target", "builtin:K3", "--n", str(n), "--seq", "balanced",
+                     "--k", "3", "--out", str(col_path), "--cert", str(cert_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3",
+                     "--cert", str(cert_path)]) == 0
+        assert scans == []
+        with_cert = capsys.readouterr().out
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3"]) == 0
+        assert capsys.readouterr().out == with_cert    # the same PARTITION line at n=8
+        assert with_cert.startswith("PARTITION") == (n <= 64)
+
+    def test_damaged_certificate_still_scans(self, scans, tmp_path, capsys):
+        col_path, cert_path = tmp_path / "k3.col", tmp_path / "k3.cert"
+        assert main(["construct", "--target", "builtin:K3", "--n", "70", "--seq", "balanced",
+                     "--k", "3", "--out", str(col_path), "--cert", str(cert_path)]) == 0
+        cert = read_certificate(str(cert_path))
+        last = cert.steps[-1]
+        cert.steps[-1] = dataclasses.replace(last, colour=last.colour % 3 + 1)
+        write_certificate(cert, str(cert_path))
+        capsys.readouterr()
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3",
+                     "--cert", str(cert_path)]) == 2
+        assert "certificate replay failed" in capsys.readouterr().out
+        assert scans == [70]
+
     def test_peel_scans_once(self, scans):
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
         trace = bounds.peel_splitting_process(col, stop=1)
         assert len(trace.steps) > 1
         assert scans == [12]
+
+
+K4, K5 = TargetGraph.complete(4), TargetGraph.complete(5)
+
+
+def _plant_rainbow(col: Colouring, vertices: tuple[int, ...]) -> Colouring:
+    """col with the edges among vertices recoloured 1, 2, 3, ... in lex order."""
+    m = col.matrix.copy()
+    for c, (u, v) in enumerate(combinations(vertices, 2), 1):
+        m[u - 1, v - 1] = m[v - 1, u - 1] = c
+    return Colouring(col.n, col.k, m)
+
+
+class TestRainbowFreeProofs:
+    """verify settles a target from a replayed certificate or the two-colour
+    peel when one applies, and searches only when neither does."""
+
+    def test_certificate_settles_cyclic_targets_only(self):
+        seq = DistributionSequence.of(12, (30, 20, 16))
+        col = realize_certificate(construct_greedy(12, seq).certificate)
+        for H in (TargetGraph.complete(3), TargetGraph.cycle(4), K4):
+            assert proves_rainbow_free(col, H, cert_ok=True) == "certificate"
+        assert proves_rainbow_free(col, TargetGraph.path(4), cert_ok=True) is None
+        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) is None
+
+    def test_peel_settles_degeneracy_three(self):
+        col = construct_mindeg3(20, DistributionSequence.of(20, (60, 60, 70)))
+        assert peels_two_colours(col)
+        assert proves_rainbow_free(col, K4, cert_ok=False) == "peel"
+        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) is None
+
+    def test_mindeg3_output_verifies_for_k4(self, tmp_path, capsys):
+        col_path = tmp_path / "k4.col"
+        assert main(["construct", "--target", "builtin:K4", "--n", "200", "--seq", "balanced",
+                     "--k", "20", "--out", str(col_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    def test_planted_rainbow_k4_is_found(self, tmp_path, capsys):
+        col = _plant_rainbow(construct_mindeg3(200, DistributionSequence.of(200, (995,) * 20)),
+                             (50, 100, 150, 200))
+        assert not peels_two_colours(col)
+        hit = find_rainbow_subgraph(col, K4, node_budget=2_000_000)
+        assert hit.embedding == Embedding((1, 50, 100, 150))
+        col_path = tmp_path / "planted.col"
+        write_colouring(col, str(col_path))
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 2
+        assert capsys.readouterr().out == "RAINBOW 1 50 100 150\n"
+
+    def test_distinct_colours_stop_the_peel(self, tmp_path, capsys):
+        n = 40
+        m = np.zeros((n, n), dtype=np.int32)
+        iu = np.triu_indices(n, 1)
+        m[iu] = np.arange(1, comb(n, 2) + 1)
+        col = Colouring(n, comb(n, 2), m + m.T)
+        assert not peels_two_colours(col)
+        col_path = tmp_path / "distinct.col"
+        write_colouring(col, str(col_path))
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 2
+        assert capsys.readouterr().out == "RAINBOW 1 2 3 4\n"
+
+    def test_peel_never_hides_a_rainbow_copy(self):
+        """Seeded corpus, n <= 9: random colourings with 2-9 colours and
+        mindeg3 outputs. Whenever the peel proof applies, the exhaustive
+        search finds no rainbow K4 or K5; where it does not, some have one."""
+        rng = random.Random(6)
+        applied = found = 0
+        for _ in range(300):
+            n = rng.randint(4, 9)
+            if rng.random() < 0.5:
+                col = random_colouring(rng, n, rng.randint(2, 9))
+            else:
+                col = construct_mindeg3(n, random_sequence(rng, n, rng.randint(1, n // 2)))
+            for H in (K4, K5):
+                hit = find_rainbow_subgraph(col, H, node_budget=10**7)
+                if proves_rainbow_free(col, H, cert_ok=False) == "peel":
+                    applied += 1
+                    assert hit.exhausted
+                else:
+                    found += hit.found
+        assert applied >= 300 and found >= 20
