@@ -1,9 +1,9 @@
 """Infeasibility and forcing certificates from exact lower-bound arithmetic.
 
 Every certificate stores the parameters and margin needed to re-evaluate its
-inequality from scratch; rational parts are exact, and the one logarithm that
-appears is enclosed from above with a recorded error width, so a reported
-certificate is rigorous up to that enclosure.
+inequality from scratch. Rational parts are exact, and the one logarithm that
+appears is bounded from above by exact integer arithmetic with a recorded
+width, so a reported certificate is rigorous outright.
 """
 from __future__ import annotations
 
@@ -12,17 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-import mpmath as mp
-
 from .core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    _data_lines,
     balanced_sequence,
     colour_counts,
     is_n_good,
 )
-from .constructor import StageConstants
+from .constructor import StageConstants, floor_root
 from .errors import HeuristicFailure, NotGallai, PreconditionViolation, RangeError
 from .verifier import Embedding, find_rainbow_triangle, search_gallai_partition
 
@@ -37,19 +36,18 @@ _KIND_TOKENS = {
 }
 _TOKEN_KINDS = {v: k for k, v in _KIND_TOKENS.items()}
 
-# Log enclosures use a fixed dyadic grid; width 4 ulps at 2^-80 generously
-# covers the evaluation error of a 50-digit log.
+# Log bounds live on a fixed dyadic grid at 2^-80. floor_root is exact, so one
+# ulp above the floor is already an upper bound; the width stays 4 ulps so that
+# certificate lines keep their bytes and the bound stays above the 40-term
+# series bound that perfbench/checks.py re-checks certificates against.
 _LOG_SCALE = 1 << 80
 _LOG_SLACK = 4
+_LOG_WIDTH = Fraction(_LOG_SLACK, _LOG_SCALE)
 
 
-def _log_upper(num: int, den: int) -> tuple[Fraction, Fraction]:
-    """Rational upper bound for log(num/den) plus the enclosure width."""
-    with mp.workdps(50):
-        val = mp.log(mp.mpf(num)) - mp.log(mp.mpf(den))
-        lower = Fraction(int(mp.floor(val * _LOG_SCALE)), _LOG_SCALE)
-    width = Fraction(_LOG_SLACK, _LOG_SCALE)
-    return lower + width, width
+def _log_upper(num: int, den: int) -> Fraction:
+    """log(num/den) rounded down to the 2^-80 grid, plus _LOG_WIDTH; num > den > 0."""
+    return Fraction(floor_root(_LOG_SCALE, 1, 1, num, den) + _LOG_SLACK, _LOG_SCALE)
 
 
 @dataclass
@@ -79,11 +77,12 @@ class InfeasibilityCertificate:
             want = Fraction(comb(self.n, 2), d) - self.a
             return want >= 0 and self.margin == want
         if self.kind == KIND_TRIANGLE_HARD:
-            seq, params = triangle_hard_sequence(self.k)
-            if (params.n, params.a, params.b, params.c) != (self.n, self.a, self.b, self.c):
-                return False
-            fresh = triangle_infeasibility_check(self.k)
-            return fresh is not None and fresh.margin == self.margin
+            k, n, a, b, c = self.k, self.n, self.a, self.b, self.c
+            half_up = (k + 1) // 2
+            return (k >= 3 and n >= 2 and self.m == 3 and b == k // 2 and 0 <= c < half_up
+                    and c * (a + 1) + (half_up - c) * a + (k // 2) * b == comb(n, 2)
+                    and self.log_error == _LOG_WIDTH
+                    and _triangle_margin(k, n, a, b) == self.margin)
         return False
 
     def inequality_text(self) -> str:
@@ -119,8 +118,7 @@ def write_infeasibility(cert: InfeasibilityCertificate, path: str) -> None:
 
 
 def read_infeasibility(path: str, reverify: bool = True) -> InfeasibilityCertificate:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _data_lines(path)
     if not lines:
         raise ValueError(f"certificate file {path}: empty")
     cert = InfeasibilityCertificate.from_line(lines[0])
@@ -156,22 +154,10 @@ def sample_rainbow_km(col: Colouring, m: int, trials: int,
         raise PreconditionViolation(f"m={m} exceeds n={col.n}")
     rng = rng or random.Random(0)
     M = col.matrix
-    pairs = comb(m, 2)
     verts = list(range(col.n))
     for _ in range(trials):
         u = sorted(rng.sample(verts, m))
-        seen = set()
-        ok = True
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                c = int(M[u[i], u[j]])
-                if c in seen:
-                    ok = False
-                    break
-                seen.add(c)
-            if not ok:
-                break
-        if ok and len(seen) == pairs:
+        if len({int(M[a, b]) for i, a in enumerate(u) for b in u[i + 1:]}) == comb(m, 2):
             return Embedding(tuple(v + 1 for v in u))
     return None
 
@@ -188,8 +174,7 @@ class HardSequenceParams:
     c: int
 
 
-def triangle_hard_sequence(k: int, constants: StageConstants | None = None
-                           ) -> tuple[DistributionSequence, HardSequenceParams]:
+def triangle_hard_sequence(k: int) -> tuple[DistributionSequence, HardSequenceParams]:
     """The skewed distribution on n = floor(alpha k^1.5 / sqrt(log k)) vertices:
     c entries of a+1, then ceil(k/2)-c entries of a, then floor(k/2) entries of b.
 
@@ -200,8 +185,7 @@ def triangle_hard_sequence(k: int, constants: StageConstants | None = None
         raise PreconditionViolation(f"need k >= 1, got k={k}")
     if k < 3:
         raise RangeError("k", k)
-    constants = constants or StageConstants()
-    n = constants.lower_n(k)
+    n = StageConstants().lower_n(k)
     if n < 2:
         raise RangeError("n", n)
     total = comb(n, 2)
@@ -217,39 +201,37 @@ def triangle_hard_sequence(k: int, constants: StageConstants | None = None
     return seq, HardSequenceParams(n, a, b, c)
 
 
-def triangle_infeasibility_check(k: int, constants: StageConstants | None = None
-                                 ) -> InfeasibilityCertificate | None:
-    """Evaluate the margin b^2/3 - 4(a+1)log(n/b) > 0 together with the side
-    conditions (5b^2 >= k^2, 4(a+1) <= 5a, a*ceil(k/2) <= C(n,2), n <= bk) in
-    exact arithmetic, rounding the log against the certificate.
+def _triangle_margin(k: int, n: int, a: int, b: int) -> Fraction | None:
+    """The margin b^2/3 - 4(a+1)log(n/b), with the log rounded against it, when
+    it is positive and the side conditions 5b^2 >= k^2, 4(a+1) <= 5a,
+    a*ceil(k/2) <= C(n,2) and n <= bk hold; None otherwise."""
+    if not (5 * b * b >= k * k and 4 * (a + 1) <= 5 * a
+            and a * ((k + 1) // 2) <= comb(n, 2) and n <= b * k):
+        return None
+    margin = Fraction(b * b, 3) - 4 * (a + 1) * _log_upper(n, b)
+    return margin if margin > 0 else None
+
+
+def triangle_infeasibility_check(k: int) -> InfeasibilityCertificate | None:
+    """Evaluate the margin of the hard sequence and its side conditions in
+    exact arithmetic (see _triangle_margin).
 
     A certificate asserts no Gallai colouring of K_n realises the hard
     sequence, hence forcing a rainbow triangle.
     """
-    seq, p = triangle_hard_sequence(k, constants)
-    n, a, b, c = p.n, p.a, p.b, p.c
-    if not 5 * b * b >= k * k:
+    _, p = triangle_hard_sequence(k)
+    margin = _triangle_margin(k, p.n, p.a, p.b)
+    if margin is None:
         return None
-    if not 4 * (a + 1) <= 5 * a:
-        return None
-    if not a * ((k + 1) // 2) <= comb(n, 2):
-        return None
-    if not n <= b * k:
-        return None
-    log_up, width = _log_upper(n, b)
-    margin = Fraction(b * b, 3) - 4 * (a + 1) * log_up
-    if margin <= 0:
-        return None
-    return InfeasibilityCertificate(KIND_TRIANGLE_HARD, k, n, 3, a, b, c,
-                                    margin, width)
+    return InfeasibilityCertificate(KIND_TRIANGLE_HARD, k, p.n, 3, p.a, p.b, p.c,
+                                    margin, _LOG_WIDTH)
 
 
-def smallest_certified_k(k_max: int = 1000,
-                         constants: StageConstants | None = None) -> int | None:
+def smallest_certified_k(k_max: int = 1000) -> int | None:
     """First k whose full side-condition chain verifies; found by scanning."""
     for k in range(3, k_max + 1):
         try:
-            if triangle_infeasibility_check(k, constants) is not None:
+            if triangle_infeasibility_check(k) is not None:
                 return k
         except RangeError:
             continue
@@ -270,8 +252,6 @@ def tree_threshold(m: int) -> int:
 def tree_forced_check(seq: DistributionSequence, m: int) -> InfeasibilityCertificate | None:
     """If every colour is used at most C(n,2)/(6m)^(6m) times, every colouring
     with these counts contains a rainbow copy of every m-vertex tree."""
-    if m < 2:
-        raise PreconditionViolation("need m >= 2")
     max_e = max(seq.e)
     return _tree_forced(seq.n, seq.k, m, max_e)
 
@@ -282,8 +262,6 @@ def balanced_tree_forced_check(n: int, k: int, m: int) -> InfeasibilityCertifica
     materialised."""
     if n < 1 or k < 1:
         raise PreconditionViolation(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if m < 2:
-        raise PreconditionViolation("need m >= 2")
     q, r = divmod(comb(n, 2), k)
     max_e = q + (1 if r else 0)
     return _tree_forced(n, k, m, max_e)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-import mpmath as mp
 import numpy as np
 
 from .core import (
@@ -304,52 +303,97 @@ def batch_steps(state: SplitState, block_lo: int, t: int, count: int,
 # Stage constants
 # ---------------------------------------------------------------------------
 
+def _atanh_low(x: int, z: int, w: int) -> tuple[int, int]:
+    """(s, err) with s <= 2^w atanh(x/z) < s + err, for 0 <= x/z <= 1/3."""
+    p, s, j = (x << w) // z, 0, 0
+    while p:
+        s += p // (2 * j + 1)
+        p = p * x * x // (z * z)
+        j += 1
+    return s, 2 * j + 2
+
+
+def log_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits log(num/den) <= hi, for positive integers num, den.
+
+    With num/den = 2^e r and r in [1, 2), log(num/den) = 2 atanh(y) +
+    2e atanh(1/3) where y = (r-1)/(r+1) < 1/3. Each series sum x^(2j+1)/(2j+1)
+    is summed in integers at 2^(bits+g). Every floor division rounds down, by
+    less than one unit, so the power x^(2j+1) carries a loss below
+    1/(1-x^2) <= 9/8 and each term is low by less than 2 units; once the power
+    floors to 0 the untaken tail is below (9/8)^2 < 2 units. A series of J
+    terms is thus low by less than 2J + 2 units, never high.
+    """
+    if num <= 0 or den <= 0:
+        raise ValueError(f"log of {num}/{den}")
+    e = num.bit_length() - den.bit_length()
+    u, v = num << max(-e, 0), den << max(e, 0)
+    if u < v:
+        e, u = e - 1, u << 1
+    g = bits.bit_length() + abs(e).bit_length() + 4
+    s, es = _atanh_low(u - v, u + v, bits + g)
+    t, et = _atanh_low(1, 3, bits + g)
+    lo = 2 * (s + e * t + min(e, 0) * et)
+    hi = 2 * (s + es + e * t + max(e, 0) * et)
+    return lo >> g, -(-hi >> g)
+
+
+def floor_root(R: Fraction, p: int, q: int, num: int, den: int = 1) -> int:
+    """floor(X) for the X > 0 with X^p = R log(num/den)^q, where R > 0,
+    p in {1, 2, 4}, q != 0 and num > den > 0.
+
+    log(num/den) is transcendental, so X is irrational: doubling the bits of
+    the log enclosure ends once no integer lies between its bounds on X^p.
+    """
+    if not num > den > 0:
+        raise ValueError(f"need num > den > 0, got {num}/{den}")
+    bits = 64
+    while True:
+        lo, hi = log_bounds(num, den, bits)
+        if lo > 0:
+            low, high = sorted(R * Fraction(x, 1 << bits) ** q for x in (lo, hi))
+            root = math.floor(low)
+            for _ in range(p.bit_length() - 1):  # p-th root as repeated isqrt
+                root = math.isqrt(root)
+            if (root + 1) ** p > high:
+                return root
+        bits *= 2
+
+
 @dataclass(frozen=True)
 class StageConstants:
     """Constants of the staged construction and of the hard-sequence bound.
 
     All logarithms are natural; alpha drives the lower-bound sequence, beta
-    the staged split sizes. At desk scale the raw r and c are clamped into
-    [1, floor(n/(3k))] and the clamp is recorded in certificate metadata.
+    the staged split sizes, and floor_root decides every floor exactly. At
+    desk scale the raw r and c are clamped into [1, floor(n/(3k))] and the
+    clamp is recorded in certificate metadata.
     """
 
     alpha: Fraction = Fraction(1, 10)
     beta: Fraction = Fraction(5_000_000)
 
-    def _floor_scaled(self, coeff: Fraction, k: int, power: Fraction) -> int:
-        with mp.workdps(50):
-            val = (mp.mpf(coeff.numerator) / coeff.denominator
-                   * mp.power(k, mp.mpf(power.numerator) / power.denominator)
-                   / mp.sqrt(mp.log(k)))
-            return int(mp.floor(val))
-
     def lower_n(self, k: int) -> int:
         """floor(alpha * k^1.5 / sqrt(log k))"""
-        return self._floor_scaled(self.alpha, k, Fraction(3, 2))
-
-    def upper_n(self, k: int) -> int:
-        """floor(beta * k^1.5 / sqrt(log k))"""
-        return self._floor_scaled(self.beta, k, Fraction(3, 2))
+        return floor_root(self.alpha ** 2 * k ** 3, 2, -1, k)
 
     def derive(self, n: int, k: int) -> "StageDerived":
         if k < 2 or n < 2:
             raise PreconditionViolation("stage constants need n >= 2 and k >= 2")
-        with mp.workdps(50):
-            beta = mp.mpf(self.beta.numerator) / self.beta.denominator
-            logk = mp.log(k)
-            r_raw = int(mp.floor(beta * mp.sqrt(k) / (30 * mp.sqrt(logk))))
-            c_raw = int(mp.floor(mp.power(k, 0.75) / mp.power(logk, 0.75)))
-            cap = n // (3 * k)
-            r = max(1, min(r_raw, cap) if cap >= 1 else 1)
-            c = max(1, min(c_raw, cap) if cap >= 1 else 1)
-            j1_threshold = beta ** 2 * mp.power(k, 2.25) / mp.power(logk, 1.25)
-            j2_threshold = beta ** 2 * k * k / (30 * logk)
-            stop = beta ** 0.5 * 2 * mp.power(k, 1.25) / mp.power(logk, 0.25)
-            count_case1 = int(mp.ceil(mp.power(k, 0.75) * mp.power(logk, 0.25)))
-            # integer cutoffs: e >= j1_threshold  <=>  e >= j1_min, etc.
-            j1_min = int(mp.floor(j1_threshold)) + 1
-            j2_max = int(mp.floor(j2_threshold))
-            stop_below = int(mp.ceil(stop))
+        # L = log k: r_raw = floor(beta sqrt(k/L) / 30), c_raw = floor((k/L)^(3/4)),
+        # j1_min - 1 = floor(beta^2 k^(9/4) / L^(5/4)), j2_max = floor(beta^2 k^2 / (30 L)),
+        # stop_below = ceil(2 sqrt(beta) k^(5/4) / L^(1/4)), count_case1 =
+        # ceil(k^(3/4) L^(1/4)); all are irrational, so each ceil is floor + 1
+        beta2 = self.beta ** 2
+        r_raw = floor_root(beta2 * k / 900, 2, -1, k)
+        c_raw = floor_root(Fraction(k ** 3), 4, -3, k)
+        cap = n // (3 * k)
+        r = max(1, min(r_raw, cap) if cap >= 1 else 1)
+        c = max(1, min(c_raw, cap) if cap >= 1 else 1)
+        j1_min = floor_root(beta2 ** 4 * k ** 9, 4, -5, k) + 1
+        j2_max = floor_root(beta2 * k * k / 30, 1, -1, k)
+        stop_below = floor_root(16 * beta2 * k ** 5, 4, -1, k) + 1
+        count_case1 = floor_root(Fraction(k ** 3), 4, 1, k) + 1
         return StageDerived(r_raw, c_raw, r, c, r != r_raw, c != c_raw,
                             j1_min, j2_max, stop_below, count_case1)
 

@@ -36,13 +36,8 @@ def _kernel_for(H: TargetGraph) -> str:
         return "K3"
     if H.m == 4 and len(H.edges) == 6:
         return "K4"
-    if H.m == 4 and len(H.edges) == 4:
-        degs = [0] * 5
-        for u, v in H.edges:
-            degs[u] += 1
-            degs[v] += 1
-        if all(d == 2 for d in degs[1:]):
-            return "C4"
+    if H.m == 4 and len(H.edges) == 4 and all(len(ns) == 2 for ns in H.adjacency().values()):
+        return "C4"
     return "general"
 
 

@@ -34,13 +34,7 @@ def embedding_is_rainbow(col: Colouring, H: TargetGraph, emb: Embedding) -> bool
     img = emb.vertices
     if len(img) != H.m or len(set(img)) != H.m:
         return False
-    seen: set[int] = set()
-    for u, v in H.edges:
-        c = col.colour_of(img[u - 1], img[v - 1])
-        if c in seen:
-            return False
-        seen.add(c)
-    return True
+    return len({col.colour_of(img[u - 1], img[v - 1]) for u, v in H.edges}) == len(H.edges)
 
 
 @dataclass
@@ -245,26 +239,16 @@ def find_rainbow_tree(col: Colouring, H: TargetGraph,
     images = {base: eligible[0]}
     used_v = {eligible[0]}
     used_c: set[int] = set()
-    ok = True
     for idx, (v, parent) in enumerate(inserts[1:], start=1):
-        outermost = idx == len(inserts) - 1
-        pool = range(1, n + 1) if outermost else eligible
-        pick = None
-        for u in pool:
-            if u in used_v:
-                continue
-            c = col.colour_of(images[parent], u)
-            if c in used_c:
-                continue
-            pick = (u, c)
-            break
+        pool = range(1, n + 1) if idx == len(inserts) - 1 else eligible  # outermost leaf
+        pick = next(((u, c) for u in pool if u not in used_v
+                     and (c := col.colour_of(images[parent], u)) not in used_c), None)
         if pick is None:
-            ok = False
             break
         images[v] = pick[0]
         used_v.add(pick[0])
         used_c.add(pick[1])
-    if ok and len(images) == m:
+    if len(images) == m:
         emb = Embedding(tuple(images[v] for v in range(1, m + 1)))
         if embedding_is_rainbow(col, H, emb):
             return emb
@@ -448,10 +432,8 @@ def verify_gallai_partition(col: Colouring, p: GallaiPartition) -> bool:
             want = p.between_colour.get((i, j))
             if want is None or want not in p.base_colours:
                 return False
-            for u in p.parts[i]:
-                for v in p.parts[j]:
-                    if col.colour_of(u, v) != want:
-                        return False
+            if any(col.colour_of(u, v) != want for u in p.parts[i] for v in p.parts[j]):
+                return False
     return True
 
 

@@ -152,7 +152,7 @@ def test_criterion_3_distribution_exactness(realized_corpus):
         assert colour_counts(col) == list(seq.e)
         checked += 1
     sc = StageConstants(beta=Fraction(60))
-    n = sc.upper_n(10)
+    n = 1250
     seq = balanced_sequence(n, 10)
     cert = construct_staged(n, seq, sc)
     assert colour_counts(realize_certificate(cert)) == list(seq.e)

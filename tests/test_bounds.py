@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb, isqrt, log
@@ -12,6 +13,7 @@ from gallaikit.core import (
     is_n_good,
 )
 from gallaikit.bounds import (
+    _log_upper,
     balanced_tree_forced_check,
     clash_bound_check,
     general_lower_sequence,
@@ -147,6 +149,30 @@ class TestTriangleInfeasibility:
         path.write_text(" ".join(bad) + "\n")
         with pytest.raises(ValueError):
             read_infeasibility(path)
+
+    @pytest.mark.parametrize("field", ["k", "n", "a", "b", "c", "margin"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_verify_rejects_each_mutated_field(self, field, delta, tmp_path):
+        # verify() checks the stored fields on their own, with no rebuild of
+        # the hard sequence, so every single-field change must be caught
+        cert = triangle_infeasibility_check(1000)
+        bad = dataclasses.replace(cert, **{field: getattr(cert, field) + delta})
+        assert not bad.verify()
+        path = tmp_path / "bad.cert"
+        write_infeasibility(bad, path)
+        with pytest.raises(ValueError):
+            read_infeasibility(path)
+
+    def test_verify_needs_no_stage_constants(self):
+        # a certificate is checked from its fields: the hard sequence at a
+        # different alpha verifies as well when its own margin is positive
+        cert = triangle_infeasibility_check(1000)
+        n = cert.n + 20
+        half_up, b = 500, 500
+        a, c = divmod(comb(n, 2) - b * b, half_up)
+        margin = Fraction(b * b, 3) - 4 * (a + 1) * _log_upper(n, b)
+        other = dataclasses.replace(cert, n=n, a=a, c=c, margin=margin)
+        assert other.verify()
 
 
 class TestTreeThreshold:

