@@ -117,12 +117,12 @@ def write_infeasibility(cert: InfeasibilityCertificate, path: str) -> None:
         f.write(f"# {cert.inequality_text()}\n")
 
 
-def read_infeasibility(path: str, reverify: bool = True) -> InfeasibilityCertificate:
+def read_infeasibility(path: str) -> InfeasibilityCertificate:
     lines = _data_lines(path)
     if not lines:
         raise ValueError(f"certificate file {path}: empty")
     cert = InfeasibilityCertificate.from_line(lines[0])
-    if reverify and not cert.verify():
+    if not cert.verify():
         raise ValueError(f"certificate file {path}: failed re-verification")
     return cert
 

@@ -9,7 +9,6 @@ so a certificate is replayable without a block registry.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -549,10 +548,6 @@ def construct_staged(n: int, seq: DistributionSequence,
 # Greedy constructor
 # ---------------------------------------------------------------------------
 
-class _GiveUp(Exception):
-    pass
-
-
 def greedy_descent(state: SplitState) -> bool:
     """Straight-line pass: repeatedly steps on the largest block using the
     smallest sufficient budget (best fit), smallest step size first. Never
@@ -615,22 +610,16 @@ def construct_greedy(n: int, seq: DistributionSequence,
         sizes = tuple(sorted(hi - lo + 1 for lo, hi in state.blocks.items()))
         return sizes, tuple(sorted(budgets))
 
-    def dfs() -> bool:
-        nonlocal nodes
-        big = state.largest_block()
-        if big is None:
-            return True
-        key = state_key()
-        if key in dead:
-            return False
-        lo, hi = big
+    def moves(lo: int, hi: int):
+        """The steps on block [lo..hi], in search order; each is generated
+        after the one before it was undone."""
         size = hi - lo + 1
         # undo_last_step restores the budgets before the next t, so one order serves all t
         order = sorted(range(1, state.k + 1), key=lambda j: (-budgets[j - 1], j))
         for t in range(1, size // 2 + 1):
             need = t * (size - t)
             if budgets[order[0] - 1] < need:
-                break  # need grows with t up to size/2: no later t fits either
+                return  # need grows with t up to size/2: no later t fits either
             seen_budgets: set[int] = set()
             for j in order:
                 b = budgets[j - 1]
@@ -639,27 +628,30 @@ def construct_greedy(n: int, seq: DistributionSequence,
                 if b in seen_budgets:
                     continue  # equal-budget colours are interchangeable here
                 seen_budgets.add(b)
-                nodes += 1
-                if not exhaustive and nodes > node_budget:
-                    raise _GiveUp
-                state.apply_step(lo, t, j)
-                if dfs():
-                    return True
-                state.undo_last_step()
-        dead.add(key)
-        return False
+                yield lo, t, j
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
-    try:
-        found = dfs()
-    except _GiveUp:
-        return GreedyResult("giveup", nodes=nodes)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if found:
-        return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}), nodes)
-    return GreedyResult("infeasible", nodes=nodes)
+    # One (state key, untried steps) level per applied step, plus the root.
+    # An explicit stack, not recursion: CPython frees and reallocates a frame
+    # chunk each time a recursion this deep crosses a chunk boundary.
+    stack: list[tuple] = []
+    while True:
+        big = state.largest_block()
+        if big is None:
+            return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}), nodes)
+        key = state_key()
+        if key in dead:
+            state.undo_last_step()
+        else:
+            stack.append((key, moves(*big)))
+        while (step := next(stack[-1][1], None)) is None:
+            dead.add(stack.pop()[0])
+            if not stack:
+                return GreedyResult("infeasible", nodes=nodes)
+            state.undo_last_step()
+        nodes += 1
+        if not exhaustive and nodes > node_budget:
+            return GreedyResult("giveup", nodes=nodes)
+        state.apply_step(*step)
 
 
 # ---------------------------------------------------------------------------
@@ -750,23 +742,42 @@ class ConstructionResult:
     reasons: list[str] = field(default_factory=list)
 
 
+# Degeneracy of H that each strategy's proof covers: the two-colour peel of
+# mindeg3 rules out rainbow subgraphs of minimum degree >= 3, and a standard
+# colouring rules out rainbow cycles.
+NEEDS_DEGENERACY = {"mindeg3": 3, "staged": 2, "greedy": 2}
+
+
 def construct(H: TargetGraph, n: int, seq: DistributionSequence,
               strategy: str = "auto",
               node_budget: int = 500_000) -> ConstructionResult:
-    """Build a rainbow-H-free colouring realising seq, dispatching on the
-    degeneracy of H; raises NotConstructed (with the reason chain) when no
-    strategy succeeds and no infeasibility certificate applies.
+    """Build a rainbow-H-free colouring realising seq, or prove that none exists.
+
+    One chain of links, each tried only where its proof covers H: the trivial
+    fill when H does not fit in K_n; mindeg3 at degeneracy >= 3 and n >= 2k;
+    staged, then greedy or the clash bound, at degeneracy >= 2; and for
+    forests the forest step, which returns a colouring only after an
+    exhaustive search finds no rainbow copy of H in it. An explicit strategy
+    runs only its own link and raises PreconditionViolation when H's
+    degeneracy is below what its proof needs. Raises NotConstructed (with the
+    reason chain) when no link succeeds and no infeasibility certificate
+    applies.
     """
     from . import bounds
     from .verifier import find_rainbow_subgraph, find_rainbow_tree
 
     _require_good(n, seq)
+    if strategy != "auto" and strategy not in NEEDS_DEGENERACY:
+        raise PreconditionViolation(f"unknown strategy {strategy!r}")
     deg = degeneracy(H)
+    if deg < NEEDS_DEGENERACY.get(strategy, 0):
+        raise PreconditionViolation(
+            f"{strategy} strategy needs degeneracy >= {NEEDS_DEGENERACY[strategy]}")
     k_eff = sum(1 for e in seq.e if e > 0)
     reasons: list[str] = []
 
-    if strategy not in ("auto", "staged", "greedy", "mindeg3"):
-        raise PreconditionViolation(f"unknown strategy {strategy!r}")
+    def runs(link: str) -> bool:
+        return strategy in ("auto", link) and deg >= NEEDS_DEGENERACY[link]
 
     if H.m > n:
         # No copy of H fits at all; any colouring with the right counts works.
@@ -774,35 +785,36 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
                                   strategy="trivial-fill",
                                   reasons=[f"target has {H.m} > {n} vertices"])
 
-    if strategy == "mindeg3":
-        if deg < 3:
-            raise PreconditionViolation("mindeg3 strategy needs degeneracy >= 3")
-        return ConstructionResult("ok", construct_mindeg3(n, seq), strategy="mindeg3")
-
-    if strategy == "staged":
-        try:
-            cert = construct_staged(n, seq)
-        except StagedInfeasible as ex:
-            raise NotConstructed([str(ex)]) from ex
-        return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
-
-    if strategy == "greedy":
-        return _greedy_or_clash(H, n, seq, node_budget, reasons)
-
-    # auto dispatch
-    if deg >= 3 and n >= 2 * k_eff:
-        return ConstructionResult("ok", construct_mindeg3(n, seq), strategy="mindeg3")
-    if deg >= 3:
+    if runs("mindeg3"):
+        # an explicit mindeg3 lets construct_mindeg3 refuse n < 2k itself
+        if n >= 2 * k_eff or strategy == "mindeg3":
+            return ConstructionResult("ok", construct_mindeg3(n, seq), strategy="mindeg3")
         reasons.append(f"n={n} < 2k for mindeg3; target contains a cycle, "
                        "falling through to standard colouring")
 
-    if deg >= 2:
+    if runs("staged"):
         try:
             cert = construct_staged(n, seq)
             return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
         except StagedInfeasible as ex:
             reasons.append(str(ex))
-        return _greedy_or_clash(H, n, seq, node_budget, reasons)
+
+    if runs("greedy"):
+        res = construct_greedy(n, seq, node_budget)
+        if res.status == "certificate":
+            return ConstructionResult("ok", realize_certificate(res.certificate),
+                                      res.certificate, "greedy")
+        reasons.append(f"greedy: {res.status}")
+        if H.m >= 3 and n >= H.m:
+            cert = bounds.clash_bound_check(seq, H.m)
+            if cert is not None:
+                return ConstructionResult(
+                    "infeasible", infeasibility=cert,
+                    reasons=reasons + ["clash bound forces a rainbow complete graph"])
+            reasons.append("clash bound inconclusive")
+
+    if deg >= 2:
+        raise NotConstructed(reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.
     tf = bounds.tree_forced_check(seq, H.m) if H.edges else None
@@ -814,7 +826,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
         raise NotConstructed(
             [f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "
              "in every colouring; no sequence is realisable"])
-    # Attempt some realisation of the counts and verify it explicitly; a
+    # Attempt some realisation of the counts and search it exhaustively; a
     # standard colouring carries no guarantee against rainbow trees.
     res = construct_greedy(n, seq, node_budget)
     if res.status == "certificate":
@@ -826,38 +838,17 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
         cert = None
         col = lex_colouring(seq)
         attempt = "lex-fill"
-    if H.is_tree():
-        witness = find_rainbow_tree(col, H)
-    else:
-        hit = find_rainbow_subgraph(col, H)
-        witness = hit.embedding if hit.found else None
-    if witness is None:
+    search = (find_rainbow_tree if H.is_tree() else find_rainbow_subgraph)(col, H)
+    if search.exhausted:
         return ConstructionResult("ok", col, cert, attempt,
                                   reasons=["verified rainbow-free explicitly"])
+    if search.found:
+        raise NotConstructed(
+            reasons + [f"{attempt} colouring contains a rainbow copy of the forest target"],
+            witness=search.embedding)
     raise NotConstructed(
-        reasons + [f"{attempt} colouring contains a rainbow copy of the forest target"],
-        witness=witness)
-
-
-def _greedy_or_clash(H: TargetGraph, n: int, seq: DistributionSequence,
-                     node_budget: int, reasons: list[str]) -> ConstructionResult:
-    """The greedy certificate realised; failing that, the clash-bound
-    infeasibility certificate; failing that, NotConstructed with the reasons."""
-    from . import bounds
-
-    res = construct_greedy(n, seq, node_budget)
-    if res.status == "certificate":
-        return ConstructionResult("ok", realize_certificate(res.certificate),
-                                  res.certificate, "greedy")
-    reasons.append(f"greedy: {res.status}")
-    if H.m >= 3 and n >= H.m:
-        cert = bounds.clash_bound_check(seq, H.m)
-        if cert is not None:
-            return ConstructionResult(
-                "infeasible", infeasibility=cert,
-                reasons=reasons + ["clash bound forces a rainbow complete graph"])
-        reasons.append("clash bound inconclusive")
-    raise NotConstructed(reasons)
+        reasons + [f"{attempt} colouring: rainbow search hit its node budget of "
+                   f"{search.nodes_used} nodes"])
 
 
 # ---------------------------------------------------------------------------

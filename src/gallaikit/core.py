@@ -85,25 +85,30 @@ class TargetGraph:
 
 
 @lru_cache(maxsize=None)
+def min_degree_peel(H: TargetGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Delete a vertex of least degree, ties to the smallest index, until none
+    is left; each deleted vertex comes with its neighbours still present.
+
+    On a tree every deletion but the last takes a leaf with its one
+    neighbour, so the reversed order grows the tree leaf by leaf.
+    """
+    adj = H.adjacency()
+    order = []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        for w in adj[v]:
+            adj[w].discard(v)
+        order.append((v, tuple(sorted(adj.pop(v)))))
+    return tuple(order)
+
+
 def degeneracy(H: TargetGraph) -> int:
     """Smallest d such that repeated minimum-degree deletion never sees degree > d.
 
     Edgeless graphs are 0-degenerate by convention; forests are exactly the
     1-degenerate graphs.
     """
-    if not H.edges:
-        return 0
-    adj = {v: set(ns) for v, ns in H.adjacency().items()}
-    alive = set(adj)
-    worst = 0
-    while alive:
-        v = min(alive, key=lambda x: (len(adj[x]), x))
-        worst = max(worst, len(adj[v]))
-        for w in adj[v]:
-            adj[w].discard(v)
-        alive.discard(v)
-        del adj[v]
-    return worst
+    return max(len(nbrs) for _, nbrs in min_degree_peel(H))
 
 
 @dataclass(frozen=True)

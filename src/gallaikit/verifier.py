@@ -11,7 +11,9 @@ from itertools import combinations
 import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
-from .core import Colouring, DistributionSequence, TargetGraph, colour_counts, degeneracy
+from .core import (
+    Colouring, DistributionSequence, TargetGraph, colour_counts, degeneracy, min_degree_peel,
+)
 from .errors import PreconditionViolation, StructuralMismatch
 
 FOUND = "found"
@@ -128,7 +130,7 @@ def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
     try:
         emb = place(1)
     except _BudgetExhausted:
-        return SubgraphSearch(INCONCLUSIVE, nodes_used=nodes)
+        return SubgraphSearch(INCONCLUSIVE, nodes_used=node_budget)
     if emb is None:
         return SubgraphSearch(NONE, nodes_used=nodes)
     return SubgraphSearch(FOUND, emb, nodes)
@@ -196,34 +198,16 @@ def colour_degree(col: Colouring, v: int) -> int:
     return int(np.unique(row).size)
 
 
-def _leaf_peel_order(H: TargetGraph) -> tuple[int, list[tuple[int, int]]]:
-    """Peel smallest-index leaves one at a time; returns (base vertex, peels).
-
-    peels[i] = (leaf, parent) in peel order, so reversed(peels) is a valid
-    insertion order starting from the base vertex.
-    """
-    adj = {v: set(ns) for v, ns in H.adjacency().items()}
-    alive = set(adj)
-    peels: list[tuple[int, int]] = []
-    while len(alive) > 1:
-        leaf = min(v for v in alive if len(adj[v]) <= 1)
-        parent = next(iter(adj[leaf])) if adj[leaf] else 0
-        for w in adj[leaf]:
-            adj[w].discard(leaf)
-        alive.discard(leaf)
-        del adj[leaf]
-        peels.append((leaf, parent))
-    return next(iter(alive)), peels
-
-
 def find_rainbow_tree(col: Colouring, H: TargetGraph,
-                      fallback_budget: int = 1_000_000) -> Embedding | None:
-    """Greedy leaf-peeling embedder for tree targets.
+                      fallback_budget: int = 1_000_000) -> SubgraphSearch:
+    """Greedy leaf-by-leaf embedder for tree targets.
 
-    Restricts the inner embedding to vertices of colour degree >= 2m+1; when
-    fewer than m vertices survive that filter it proceeds on all vertices.
-    The outermost leaf may use any vertex whose connecting colour is unused.
-    On greedy failure, falls back to the exhaustive backtracking search.
+    Grows H in the reverse of min_degree_peel's order, each vertex on the
+    first free vertex whose edge to its parent's image has an unused colour.
+    The inner embedding is restricted to vertices of colour degree >= 2m+1;
+    when fewer than m vertices survive that filter it proceeds on all
+    vertices. The outermost leaf may use any vertex. A greedy hit is found;
+    otherwise the result is that of the exhaustive backtracking search.
     """
     if not H.is_tree():
         raise PreconditionViolation("target is not a tree")
@@ -233,14 +217,13 @@ def find_rainbow_tree(col: Colouring, H: TargetGraph,
     eligible = [v for v in range(1, n + 1) if colour_degree(col, v) >= 2 * m + 1]
     if len(eligible) < m:
         eligible = list(range(1, n + 1))
-    base, peels = _leaf_peel_order(H)
-    inserts = [(base, 0)] + list(reversed(peels))
+    (base, _), *inserts = reversed(min_degree_peel(H))
 
     images = {base: eligible[0]}
     used_v = {eligible[0]}
     used_c: set[int] = set()
-    for idx, (v, parent) in enumerate(inserts[1:], start=1):
-        pool = range(1, n + 1) if idx == len(inserts) - 1 else eligible  # outermost leaf
+    for idx, (v, (parent,)) in enumerate(inserts, start=1):
+        pool = range(1, n + 1) if idx == len(inserts) else eligible  # outermost leaf
         pick = next(((u, c) for u in pool if u not in used_v
                      and (c := col.colour_of(images[parent], u)) not in used_c), None)
         if pick is None:
@@ -251,9 +234,8 @@ def find_rainbow_tree(col: Colouring, H: TargetGraph,
     if len(images) == m:
         emb = Embedding(tuple(images[v] for v in range(1, m + 1)))
         if embedding_is_rainbow(col, H, emb):
-            return emb
-    res = find_rainbow_subgraph(col, H, node_budget=fallback_budget)
-    return res.embedding if res.found else None
+            return SubgraphSearch(FOUND, emb)
+    return find_rainbow_subgraph(col, H, node_budget=fallback_budget)
 
 
 def peels_two_colours(col: Colouring) -> bool:

@@ -5,9 +5,11 @@ from gallaikit.bounds import read_infeasibility
 from gallaikit.core import (
     Colouring,
     DistributionSequence,
+    TargetGraph,
     read_colouring,
     write_colouring,
     write_sequence,
+    write_target,
 )
 
 
@@ -186,6 +188,9 @@ BAD_INPUT = [
     ["verify", "--target", "builtin:C4", "--budget", "-5"],
     ["oracle", "--k", "2", "--n-max", "3", "--budget", "0"],
     ["oracle", "--k", "2", "--n-max", "3", "--total-budget", "-1"],
+    # explicit standard-colouring strategies on a forest target (P3)
+    ["construct", "--n", "26", "--seq", "balanced", "--k", "3", "--strategy", "staged"],
+    ["construct", "--n", "10", "--seq", "balanced", "--k", "3", "--strategy", "greedy"],
 ]
 
 
@@ -195,10 +200,26 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     if argv[0] == "verify":
         write_colouring(Colouring.monochromatic(6), tmp_path / "mono.col")
         extra = ["--colouring", str(tmp_path / "mono.col")]
+    if argv[0] == "construct":
+        write_target(TargetGraph.path(3), tmp_path / "p3.txt")
+        extra = ["--target", str(tmp_path / "p3.txt")]
     assert main(argv + extra) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_forest_search_out_of_budget_gives_up(tmp_path, capsys):
+    # the lex fill has a vertex of colour degree 21, so a rainbow K_{1,8}
+    # exists, but the search runs out of nodes before it finds one
+    write_target(TargetGraph.star(8), tmp_path / "star8.txt")
+    code = run("construct", "--target", tmp_path / "star8.txt", "--n", "72", "--seq",
+               "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144",
+               "--out", tmp_path / "out.col")
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "node budget" in err
+    assert out == "" and not (tmp_path / "out.col").exists()
 
 
 class TestOracleCommand:

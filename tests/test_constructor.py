@@ -386,6 +386,43 @@ class TestConstructDispatch:
         with pytest.raises(NotConstructed):
             construct(TargetGraph(3, frozenset()), 5, seq)
 
+    @pytest.mark.parametrize("strategy,needed", [("staged", 2), ("greedy", 2), ("mindeg3", 3)])
+    def test_explicit_strategy_needs_its_degeneracy(self, strategy, needed):
+        with pytest.raises(PreconditionViolation,
+                           match=f"{strategy} strategy needs degeneracy >= {needed}"):
+            construct(TargetGraph.path(3), 26, balanced_sequence(26, 3), strategy=strategy)
+
+
+SMALL_TARGETS = {
+    "P3": TargetGraph.path(3),
+    "star3": TargetGraph.star(3),
+    "P4": TargetGraph.path(4),
+    "C4": TargetGraph.cycle(4),
+    "K3": TargetGraph.complete(3),
+    "K4": TargetGraph.complete(4),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_TARGETS)
+@pytest.mark.parametrize("strategy", ["auto", "staged", "greedy", "mindeg3"])
+def test_no_colouring_without_proof(strategy, name, rng):
+    """construct either raises, proves infeasibility, or returns a colouring
+    with the asked counts in which the exhaustive search finds no rainbow
+    copy of the target."""
+    H = SMALL_TARGETS[name]
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        seq = random_sequence(rng, n, rng.randint(1, 4))
+        try:
+            res = construct(H, n, seq, strategy=strategy)
+        except (NotConstructed, PreconditionViolation):
+            continue
+        if res.status == "infeasible":
+            assert res.infeasibility.verify()
+            continue
+        assert colour_counts(res.colouring) == list(seq.e)
+        assert find_rainbow_subgraph(res.colouring, H).exhausted, (n, seq.e)
+
 
 class TestCertificateFiles:
     def test_roundtrip(self, tmp_path):

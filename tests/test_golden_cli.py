@@ -8,9 +8,10 @@ not depend on where the test runs.
 
 The fixture pins the behaviour of the command line as it was before the
 step-replay kernel, the construct helpers and the scan-free partition search
-were introduced. Do not regenerate it to make this test pass: a mismatch
-means an output changed. `python tests/test_golden_cli.py` prints the lines
-for the checkout it runs in.
+were introduced; its forest-target lines, the behaviour as it was before
+construct became one guarded chain. Do not regenerate it to make this test
+pass: a mismatch means an output changed. `python tests/test_golden_cli.py`
+prints the lines for the checkout it runs in.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ from math import comb
 from pathlib import Path
 
 from gallaikit.cli import main
-from gallaikit.core import DistributionSequence, balanced_sequence, write_sequence
+from gallaikit.core import (
+    DistributionSequence, TargetGraph, balanced_sequence, write_sequence, write_target,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_cli.txt"
 
@@ -97,7 +100,23 @@ CORPUS: list[tuple[str, list[str]]] = [
                                     "--seq", "b26k3-wrong.seq"]),
     ("verify-k3-n42-own-counts", ["verify", "--colouring", "k3-n42-dfs.col",
                                   "--cert", "k3-n42-dfs.cert"]),
+    # Forest targets: the colouring is kept only when an exhaustive search
+    # finds no rainbow copy in it.
+    ("construct-p3-n10-rainbow", ["construct", "--target", "p3.tgt", "--n", "10",
+                                  "--seq", "balanced", "--k", "3"]),
+    ("construct-star3-n10-searched", ["construct", "--target", "star3.tgt", "--n", "10",
+                                      "--seq", "balanced", "--k", "2",
+                                      "--out", "star3-10.col", "--cert", "star3-10.cert"]),
+    ("construct-p4-n8-searched", ["construct", "--target", "p4.tgt", "--n", "8",
+                                  "--seq", "27 1", "--out", "p4-8.col"]),
 ]
+
+# Target files the forest calls read, written before the corpus runs.
+TARGET_FILES = {
+    "p3.tgt": TargetGraph.path(3),
+    "star3.tgt": TargetGraph.star(3),
+    "p4.tgt": TargetGraph.path(4),
+}
 
 # Sequence files the verify calls read, written before the corpus runs.
 SEQ_FILES = {
@@ -116,9 +135,11 @@ def run_corpus(workdir: Path) -> list[str]:
     """Run every call in CORPUS inside workdir; one fixture line per call."""
     for name, seq in SEQ_FILES.items():
         write_sequence(seq, str(workdir / name))
+    for name, H in TARGET_FILES.items():
+        write_target(H, str(workdir / name))
     lines = []
     for case, argv in CORPUS:
-        argv = [str(workdir / a) if a.endswith((".col", ".cert", ".seq")) else a
+        argv = [str(workdir / a) if a.endswith((".col", ".cert", ".seq", ".tgt")) else a
                 for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

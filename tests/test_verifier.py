@@ -176,12 +176,12 @@ class TestColourDegree:
 
 class TestRainbowTree:
     def test_p3_all_distinct(self):
-        emb = find_rainbow_tree(all_distinct(5), TargetGraph.path(3))
+        emb = find_rainbow_tree(all_distinct(5), TargetGraph.path(3)).embedding
         assert emb is not None
         assert embedding_is_rainbow(all_distinct(5), TargetGraph.path(3), emb)
 
     def test_p3_monochromatic(self):
-        assert find_rainbow_tree(Colouring.monochromatic(5), TargetGraph.path(3)) is None
+        assert find_rainbow_tree(Colouring.monochromatic(5), TargetGraph.path(3)).exhausted
 
     def test_p4_in_k8_all_distinct_uses_soft_filter(self):
         # colour degree is 7 < 2*4+1 = 9 everywhere, so the filter empties and
@@ -189,7 +189,7 @@ class TestRainbowTree:
         # exhaustive fallback (fallback_budget=0 would make fallback useless).
         col = all_distinct(8)
         H = TargetGraph.path(4)
-        emb = find_rainbow_tree(col, H, fallback_budget=1)
+        emb = find_rainbow_tree(col, H, fallback_budget=1).embedding
         assert emb is not None
         assert embedding_is_rainbow(col, H, emb)
 
@@ -203,7 +203,7 @@ class TestRainbowTree:
             k = rng.randint(2, comb(n, 2))
             col = random_colouring(rng, n, k)
             H = TargetGraph.path(rng.randint(2, 4))
-            emb = find_rainbow_tree(col, H)
+            emb = find_rainbow_tree(col, H).embedding
             if emb is not None:
                 assert embedding_is_rainbow(col, H, emb)
 
