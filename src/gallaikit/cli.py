@@ -17,6 +17,7 @@ from .core import (
     TargetGraph,
     balanced_sequence,
     colour_counts,
+    degeneracy,
     is_n_good,
     read_colouring,
     read_sequence,
@@ -24,6 +25,7 @@ from .core import (
     write_colouring,
 )
 from .constructor import (
+    NEEDS_DEGENERACY,
     construct,
     construct_greedy,
     read_certificate,
@@ -300,13 +302,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     H = _load_target(args.target)
+    os.makedirs(args.out_dir, exist_ok=True)
+    tgt = os.path.basename(args.target.split(":")[-1]).lower()
+    table_path = os.path.join(args.out_dir, f"realizability_{tgt}_k{args.k}.txt")
+    agree_path = os.path.join(args.out_dir, f"agreement_{tgt}_k{args.k}.txt")
     report = oracle.exact_g(H, args.k, args.n_max,
                             node_budget_per_seq=args.budget,
                             total_node_budget=args.total_budget)
-    os.makedirs(args.out_dir, exist_ok=True)
-    tgt = args.target.split(":")[-1].lower()
-    table_path = os.path.join(args.out_dir, f"realizability_{tgt}_k{args.k}.txt")
-    agree_path = os.path.join(args.out_dir, f"agreement_{tgt}_k{args.k}.txt")
+    # a greedy certificate only rules out a rainbow cycle, so forests skip it
+    use_greedy = degeneracy(H) >= NEEDS_DEGENERACY["greedy"]
     disagreements = 0
     with open(table_path, "w", encoding="utf-8") as tf, \
             open(agree_path, "w", encoding="utf-8") as af:
@@ -321,7 +325,7 @@ def _cmd_oracle(args) -> int:
                 tf.write(line + "\n")
             for row in report.per_n[n]:
                 seq = DistributionSequence(n, args.k, row.e)
-                greedy = construct_greedy(n, seq).status
+                greedy = construct_greedy(n, seq).status if use_greedy else "-"
                 clash = "-"
                 if n >= H.m >= 3:
                     clash = "forced" if bounds.clash_bound_check(seq, H.m) else "open"

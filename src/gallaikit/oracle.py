@@ -1,6 +1,10 @@
 """Brute-force ground truth at tiny scale: sequence realizability, exhaustive
 realizability tables, and the standard-colouring decision procedure.
 
+Realizability is one depth-first search over per-edge colour domains for
+every target; the target enters only through triangle propagation (K3) or
+one clash test on each new edge (any other H).
+
 These searches are deliberately independent of the constructors they
 cross-check; "inconclusive" is a first-class result and is never converted
 to a definite no.
@@ -31,86 +35,17 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _kernel_for(H: TargetGraph) -> str:
-    if H.m == 3 and len(H.edges) == 3:
-        return "K3"
-    if H.m == 4 and len(H.edges) == 6:
-        return "K4"
-    if H.m == 4 and len(H.edges) == 4 and all(len(ns) == 2 for ns in H.adjacency().values()):
-        return "C4"
-    return "general"
+def _clash_test(H: TargetGraph, n: int):
+    """clashes(M, u, v, c): would colouring the uncoloured edge uv with c
+    complete a rainbow copy of H among the coloured (nonzero) entries of M?
 
-
-def _has_rainbow_partial(M: list[list[int]], H: TargetGraph, n: int) -> bool:
-    """Embedding search over assigned (nonzero) edges only."""
-    m = H.m
-    back = {j: [i for i in range(1, j) if (i, j) in H.edges] for j in range(1, m + 1)}
-    images = [0] * (m + 1)
-    used_v = [False] * (n + 1)
-    used_c: set[int] = set()
-
-    def place(j: int) -> bool:
-        if j > m:
-            return True
-        for u in range(1, n + 1):
-            if used_v[u]:
-                continue
-            fresh: list[int] = []
-            ok = True
-            for i in back[j]:
-                c = M[images[i] - 1][u - 1]
-                if c == 0 or c in used_c or c in fresh:
-                    ok = False
-                    break
-                fresh.append(c)
-            if not ok:
-                continue
-            images[j] = u
-            used_v[u] = True
-            used_c.update(fresh)
-            if place(j + 1):
-                return True
-            used_c.difference_update(fresh)
-            used_v[u] = False
-        return False
-
-    return place(1)
-
-
-def is_realizable(seq: DistributionSequence, H: TargetGraph,
-                  node_budget: int = 5_000_000,
-                  use_symmetry: bool = True) -> OracleResult:
-    """Decide by exhaustive backtracking whether some rainbow-H-free colouring
-    has exactly the given colour counts.
-
-    Edges are assigned in lexicographic order with budget-feasibility pruning,
-    incremental rainbow detection (specialised kernels for K3, C4 and K4), and
-    canonical-order pruning of unused colours with equal budgets. The triangle
-    kernel additionally propagates per-edge colour domains. A witness
-    colouring is returned when realizable; exhausting node_budget yields
-    inconclusive, never a definite no.
+    C4 and K4 have closed-form kernels. For any other H each edge of H is
+    anchored on uv in both orientations, and the other vertices of H are
+    placed one at a time through coloured edges only.
     """
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
-    n, k = seq.n, seq.k
-    if H.m > n:
-        return OracleResult(REALIZABLE, lex_colouring(seq))
-    if not H.edges:
-        # every vertex m-subset is a rainbow copy of an edgeless target
-        return OracleResult(UNREALIZABLE)
-    kernel = _kernel_for(H)
-    if kernel == "K3":
-        return _search_triangle_domains(seq, node_budget, use_symmetry)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    total = len(edges)
-    budgets = list(seq.e)
-    usage = [0] * (k + 1)
-    M = [[0] * n for _ in range(n)]
-    d = len(H.edges)
-    nodes = 0
-
-    def clashes(u: int, v: int, c: int) -> bool:
-        if kernel == "K4":
+    adj = H.adjacency()
+    if H.m == 4 and len(H.edges) == 6:
+        def clashes(M, u: int, v: int, c: int) -> bool:
             others = [w for w in range(1, n + 1) if w != u and w != v]
             for ai in range(len(others) - 1):
                 w1 = others[ai]
@@ -124,7 +59,9 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
                     if 0 not in cols and len(set(cols)) == 6:
                         return True
             return False
-        if kernel == "C4":
+        return clashes
+    if H.m == 4 and len(H.edges) == 4 and all(len(ns) == 2 for ns in adj.values()):
+        def clashes(M, u: int, v: int, c: int) -> bool:
             others = [w for w in range(1, n + 1) if w != u and w != v]
             for x in others:
                 vx = M[v - 1][x - 1]
@@ -137,82 +74,85 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
                     if 0 not in cols and len(set(cols)) == 4:
                         return True
             return False
-        return False  # general kernel checks in bulk below
+        return clashes
 
-    def assign(idx: int) -> bool:
-        nonlocal nodes
-        if idx == total:
-            if kernel == "general" and _has_rainbow_partial(M, H, n):
-                return False
+    # per anchored edge (a, b): for each further vertex of H, in placing
+    # order, the positions of its neighbours placed before it
+    plans = []
+    for a, b in sorted(H.edges):
+        order = [a, b]
+        while len(order) < H.m:
+            rest = [z for z in range(1, H.m + 1) if z not in order]
+            order.append(max(rest, key=lambda z: len(adj[z].intersection(order))))
+        plans.append([[order.index(w) for w in adj[z] if w in order[:j]]
+                      for j, z in enumerate(order) if j >= 2])
+
+    def extend(M, back, img: list[int], used: set[int]) -> bool:
+        if len(img) == len(back) + 2:
             return True
-        remaining = total - idx
-        for b in budgets:
-            if b > remaining:
-                return False
-        u, v = edges[idx]
-        seen_unused: set[int] = set()
-        for c in range(1, k + 1):
-            b = budgets[c - 1]
-            if b == 0:
+        for w in range(1, n + 1):
+            if w in img:
                 continue
-            if use_symmetry and usage[c] == 0:
-                if b in seen_unused:
-                    continue
-                seen_unused.add(b)
-            nodes += 1
-            if nodes > node_budget:
-                raise _OutOfBudget
-            if clashes(u, v, c):
-                continue
-            M[u - 1][v - 1] = c
-            M[v - 1][u - 1] = c
-            budgets[c - 1] -= 1
-            usage[c] += 1
-            bad = kernel == "general" and (idx + 1) % d == 0 and _has_rainbow_partial(M, H, n)
-            if not bad and assign(idx + 1):
-                return True
-            usage[c] -= 1
-            budgets[c - 1] += 1
-            M[u - 1][v - 1] = 0
-            M[v - 1][u - 1] = 0
+            row = M[w - 1]
+            fresh: list[int] = []
+            for i in back[len(img) - 2]:
+                col = row[img[i] - 1]
+                if not col or col in used or col in fresh:
+                    break
+                fresh.append(col)
+            else:
+                img.append(w)
+                used.update(fresh)
+                if extend(M, back, img, used):
+                    return True
+                used.difference_update(fresh)
+                img.pop()
         return False
 
-    try:
-        hit = assign(0)
-    except _OutOfBudget:
-        return OracleResult(INCONCLUSIVE, nodes=nodes)
-    if not hit:
-        return OracleResult(UNREALIZABLE, nodes=nodes)
-    return OracleResult(REALIZABLE, Colouring(n, k, np.array(M, dtype=np.int32)), nodes)
+    def clashes(M, u: int, v: int, c: int) -> bool:
+        return any(extend(M, back, [s, t], {c}) for back in plans for s, t in ((u, v), (v, u)))
+    return clashes
 
 
-def _search_triangle_domains(seq: DistributionSequence, node_budget: int,
-                             use_symmetry: bool) -> OracleResult:
-    """Rainbow-triangle-free realizability with constraint propagation.
+def is_realizable(seq: DistributionSequence, H: TargetGraph,
+                  node_budget: int = 5_000_000,
+                  use_symmetry: bool = True) -> OracleResult:
+    """Decide by exhaustive backtracking whether some rainbow-H-free colouring
+    has exactly the given colour counts.
 
-    Each uncoloured edge keeps a bitmask of admissible colours: two assigned
-    edges of a triangle with distinct colours force the third into that pair.
-    A colour whose remaining budget exceeds the edges still admitting it, or
-    that has more forced edges than budget, prunes the branch.
+    Edges are assigned in lexicographic order, each from a domain of
+    admissible colours. A branch is pruned when a colour's remaining budget
+    exceeds the uncoloured edges that still admit it, or, for K3, when more
+    edges are forced to it than its budget allows; unused colours with equal
+    budgets are tried once. The target enters at one point: for K3, two
+    coloured edges of a triangle with distinct colours shrink the third
+    edge's domain to that pair; for any other H, a colour is refused when it
+    completes a rainbow copy of H through the new edge. A witness colouring
+    is returned when realizable; exhausting node_budget yields inconclusive,
+    never a definite no.
     """
+    if not is_n_good(seq):
+        raise PreconditionViolation("sequence is not n-good")
     n, k = seq.n, seq.k
+    if H.m > n:
+        return OracleResult(REALIZABLE, lex_colouring(seq))
+    if not H.edges:
+        # every vertex m-subset is a rainbow copy of an edgeless target
+        return OracleResult(UNREALIZABLE)
+    triangle = H.m == 3 and len(H.edges) == 3
+    if triangle and k == 1:
+        return OracleResult(REALIZABLE, lex_colouring(seq))
+    clashes = None if triangle else _clash_test(H, n)
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     eidx = {e: i for i, e in enumerate(edges)}
     total = len(edges)
-    full = (1 << k) - 1
-    domains = [full] * total
-    cap = [total] * (k + 1)      # unassigned edges admitting each colour
-    forced = [0] * (k + 1)       # unassigned edges whose domain is a singleton
+    domains = [(1 << k) - 1] * total
+    cap = [total] * (k + 1)      # uncoloured edges admitting each colour
+    forced = [0] * (k + 1)       # uncoloured edges whose domain is a singleton
     budgets = list(seq.e)
     usage = [0] * (k + 1)
     M = [[0] * n for _ in range(n)]
     nodes = 0
-
-    for c in range(1, k + 1):
-        if budgets[c - 1] > total:
-            return OracleResult(UNREALIZABLE)
-    if k == 1:
-        return OracleResult(REALIZABLE, lex_colouring(seq))
 
     def shrink(j: int, mask: int, trail: list[tuple[int, int]]) -> bool:
         # cap/forced updates must run to completion even on failure, so that
@@ -258,6 +198,21 @@ def _search_triangle_domains(seq: DistributionSequence, node_budget: int,
             return True
         u, v = edges[idx]
         dom = domains[idx]
+        single = dom & (dom - 1) == 0
+        # retire this edge from the uncoloured pool; a colour it leaves one
+        # edge short of its budget is the only colour it may take (need), and
+        # two such colours leave it none (need = -1)
+        need = 0
+        pool = dom
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            c = low.bit_length()
+            cap[c] -= 1
+            if cap[c] < budgets[c - 1]:
+                need = c if need == 0 else -1
+        if single:
+            forced[dom.bit_length()] -= 1
         seen_unused: set[int] = set()
         choices = dom
         while choices:
@@ -274,24 +229,15 @@ def _search_triangle_domains(seq: DistributionSequence, node_budget: int,
             nodes += 1
             if nodes > node_budget:
                 raise _OutOfBudget
-            trail: list[tuple[int, int]] = []
-            # retire this edge from the unassigned pool
-            pool = dom
-            ok = True
-            while pool:
-                lw = pool & -pool
-                pool ^= lw
-                cc = lw.bit_length()
-                cap[cc] -= 1
-                if cap[cc] < budgets[cc - 1] - (1 if cc == c else 0):
-                    ok = False
-            if dom & (dom - 1) == 0:
-                forced[c] -= 1
+            if (need and need != c) or (clashes and clashes(M, u, v, c)):
+                continue
             M[u - 1][v - 1] = c
             M[v - 1][u - 1] = c
             budgets[c - 1] -= 1
             usage[c] += 1
-            if ok:
+            trail: list[tuple[int, int]] = []
+            ok = True
+            if triangle:
                 row_u, row_v = M[u - 1], M[v - 1]
                 for w in range(1, n + 1):
                     if w == u or w == v:
@@ -315,13 +261,13 @@ def _search_triangle_domains(seq: DistributionSequence, node_budget: int,
             budgets[c - 1] += 1
             M[u - 1][v - 1] = 0
             M[v - 1][u - 1] = 0
-            if dom & (dom - 1) == 0:
-                forced[c] += 1
-            pool = dom
-            while pool:
-                lw = pool & -pool
-                pool ^= lw
-                cap[lw.bit_length()] += 1
+        if single:
+            forced[dom.bit_length()] += 1
+        pool = dom
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            cap[low.bit_length()] += 1
         return False
 
     try:

@@ -243,3 +243,26 @@ class TestOracleCommand:
         assert code == 3
         table = (tmp_path / "realizability_k3_k3.txt").read_text()
         assert "PARTIAL" in table
+
+    def test_target_file_named_by_base_name(self, tmp_path):
+        (tmp_path / "targets").mkdir()
+        target = tmp_path / "targets" / "P3.txt"
+        write_target(TargetGraph.path(3), target)
+        out = tmp_path / "tables"
+        code = run("oracle", "--target", target, "--k", "2", "--n-max", "4", "--out-dir", out)
+        assert code == 0
+        assert (out / "realizability_p3.txt_k2.txt").read_text().startswith(
+            "# target=p3.txt k=2 n_max=4\n")
+        assert (out / "agreement_p3.txt_k2.txt").exists()
+
+    @pytest.mark.parametrize("H, name", [(TargetGraph.path(3), "p3.txt"),
+                                         (TargetGraph.complete(2), "k2.txt")])
+    def test_forest_target_skips_greedy(self, tmp_path, H, name):
+        # a standard colouring proves nothing about forests, so greedy is not compared
+        write_target(H, tmp_path / name)
+        code = run("oracle", "--target", tmp_path / name, "--k", "2", "--n-max", "4",
+                   "--out-dir", tmp_path)
+        assert code == 0
+        agree = (tmp_path / f"agreement_{name}_k2.txt").read_text().splitlines()
+        assert agree[-1] == "# disagreements=0"
+        assert all(" greedy=- " in ln for ln in agree[1:-1])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from gallaikit.errors import PreconditionViolation
 from gallaikit.oracle import (
     REALIZABLE,
     UNREALIZABLE,
+    _clash_test,
     exact_g,
     is_realizable,
     is_realizable_standard,
@@ -55,7 +57,7 @@ class TestIsRealizable:
         assert is_realizable(DistributionSequence.of(3, (3,)), K2).status == UNREALIZABLE
 
     def test_general_kernel_matches_specialised(self, rng):
-        # a path target exercises the generic re-search path
+        # a path target exercises the anchored clash test of general targets
         P4 = TargetGraph.path(4)
         for _ in range(10):
             seq = random_sequence(rng, 4, 2)
@@ -81,6 +83,78 @@ class TestIsRealizable:
     def test_requires_n_good(self):
         with pytest.raises(PreconditionViolation):
             is_realizable(DistributionSequence.of(4, (3, 4)), K3)
+
+
+def _has_rainbow_copy(colour: dict, H: TargetGraph, n: int) -> bool:
+    """Every injective map of V(H) into [n]; rainbow when the images of the
+    edges of H are pairwise differently coloured."""
+    for img in permutations(range(1, n + 1), H.m):
+        cols = {colour[tuple(sorted((img[a - 1], img[b - 1])))] for a, b in H.edges}
+        if len(cols) == len(H.edges):
+            return True
+    return False
+
+
+def _compositions(total: int, k: int):
+    for cuts in combinations(range(total + k - 1), k - 1):
+        bounds = (-1,) + cuts + (total + k - 1,)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+
+
+class TestGeneralTargetsAgainstBruteForce:
+    """Every colouring of K_n, enumerated: the colour counts of the rainbow-H-free
+    ones are exactly the sequences the search calls realizable."""
+
+    TARGETS = {"p3": TargetGraph.path(3), "p4": TargetGraph.path(4),
+               "star3": TargetGraph.star(3),
+               "2k2": TargetGraph.from_edges(4, [(1, 2), (3, 4)])}
+    CASES = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)] + [(5, 2)]
+
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    @pytest.mark.parametrize("n, k", CASES)
+    def test_statuses_and_witnesses(self, name, n, k):
+        H = self.TARGETS[name]
+        edges = list(combinations(range(1, n + 1), 2))
+        free = set()
+        for cols in product(range(1, k + 1), repeat=len(edges)):
+            if not _has_rainbow_copy(dict(zip(edges, cols)), H, n):
+                free.add(tuple(cols.count(c) for c in range(1, k + 1)))
+        for e in _compositions(len(edges), k):
+            res = is_realizable(DistributionSequence(n, k, e), H)
+            assert res.status == (REALIZABLE if e in free else UNREALIZABLE), e
+            if res.colouring is not None:
+                assert colour_counts(res.colouring) == list(e)
+                colour = {(u, v): res.colouring.colour_of(u, v) for u, v in edges}
+                assert not _has_rainbow_copy(colour, H, n)
+
+
+class TestClashTest:
+    """clashes(M, u, v, c) against every injective placement of H, on random
+    partial colourings (0 = uncoloured) of K_5."""
+
+    TARGETS = [TargetGraph.path(3), TargetGraph.path(4), TargetGraph.star(3),
+               TargetGraph.from_edges(4, [(1, 2), (3, 4)]), TargetGraph.cycle(4),
+               TargetGraph.complete(4), TargetGraph.cycle(5)]
+
+    @pytest.mark.parametrize("H", TARGETS, ids=["p3", "p4", "star3", "2k2", "c4", "k4", "c5"])
+    def test_matches_brute_force(self, H, rng):
+        n, k = 5, len(H.edges) + 1
+        clashes = _clash_test(H, n)
+        for _ in range(300):
+            M = [[0] * n for _ in range(n)]
+            for u, v in combinations(range(n), 2):
+                M[u][v] = M[v][u] = rng.randint(0, k)
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            M[u - 1][v - 1] = M[v - 1][u - 1] = 0
+            c = rng.randint(1, k)
+            want = False
+            for img in permutations(range(1, n + 1), H.m):
+                pairs = [{img[a - 1], img[b - 1]} for a, b in H.edges]
+                cols = [c if p == {u, v} else M[min(p) - 1][max(p) - 1] for p in pairs]
+                if {u, v} in pairs and 0 not in cols and len(set(cols)) == len(cols):
+                    want = True
+                    break
+            assert clashes(M, u, v, c) == want
 
 
 class TestExactG:
