@@ -156,6 +156,22 @@ def balanced_sequence(n: int, k: int) -> DistributionSequence:
     return DistributionSequence(n, k, (q,) * (k - r) + (q + 1,) * r)
 
 
+# Row-block scans of an n x n matrix take this many cells (at least one row)
+# at a time, so their temporaries stay small however large n is.
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
+    """(lo, hi) bounds of consecutive blocks of max(1, cells // n) rows."""
+    rows = max(1, cells // n)
+    for lo in range(0, n, rows):
+        yield lo, min(lo + rows, n)
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    return all(np.array_equal(m[lo:hi, lo:], m[lo:, lo:hi].T) for lo, hi in _row_blocks(len(m)))
+
+
 class Colouring:
     """A complete-graph edge colouring, edge (u,v) -> colour in [1..k].
 
@@ -168,16 +184,17 @@ class Colouring:
     def __init__(self, n: int, k: int, matrix: np.ndarray):
         if n < 1 or k < 1:
             raise ValueError("need n >= 1 and k >= 1")
-        m = np.asarray(matrix, dtype=np.int32)
+        m = np.array(matrix, dtype=np.int32)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} != ({n},{n})")
-        if n > 1:
-            off = m[~np.eye(n, dtype=bool)]
-            if off.min() < 1 or off.max() > k:
-                raise ValueError("edge colours must lie in [1..k]")
-        if np.any(np.diag(m) != 0) or not np.array_equal(m, m.T):
+        diagonal = np.diagonal(m).copy()
+        # with ones on the diagonal, min and max see only the edge colours
+        np.fill_diagonal(m, 1)
+        if m.min() < 1 or m.max() > k:
+            raise ValueError("edge colours must lie in [1..k]")
+        np.fill_diagonal(m, 0)
+        if np.count_nonzero(diagonal) or not _is_symmetric(m):
             raise ValueError("matrix must be symmetric with zero diagonal")
-        m = m.copy()
         m.setflags(write=False)
         self.n = n
         self.k = k
@@ -231,9 +248,14 @@ class Colouring:
 
 def colour_counts(col: Colouring) -> list[int]:
     """Entry i-1 = number of edges with colour i; entries sum to C(n,2)."""
-    # the matrix is symmetric with a zero diagonal: each edge is counted twice
-    counts = np.bincount(col.matrix.ravel(), minlength=col.k + 1)
-    return [int(x) // 2 for x in counts[1:col.k + 1]]
+    m = col.matrix
+    counts = np.zeros(col.k + 1, dtype=np.int64)
+    # blocks of at least k cells: the k+1 bins of every block cost O(n^2 + k) in all
+    for lo, hi in _row_blocks(col.n, max(_BLOCK_CELLS, col.k)):
+        # the diagonal block is symmetric with a zero diagonal: it holds each of its edges twice
+        counts += np.bincount(m[lo:hi, lo:hi].ravel(), minlength=col.k + 1) // 2
+        counts += np.bincount(m[lo:hi, hi:].ravel(), minlength=col.k + 1)
+    return counts[1:].tolist()
 
 
 def paint_lex(matrix: np.ndarray, lo: int, hi: int, stream: np.ndarray) -> None:
@@ -286,11 +308,17 @@ def read_sequence(path: str) -> DistributionSequence:
 
 
 def write_colouring(col: Colouring, path: str) -> None:
+    m = col.matrix
+    # sized by the largest colour present, so a large declared k costs nothing
+    names = [str(c) for c in range(int(m.max()) + 1)]
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{col.n} {col.k}\n")
         for u in range(1, col.n):
-            row = col.matrix[u - 1, u:]
-            f.write(" ".join(str(int(c)) for c in row) + "\n")
+            f.write(" ".join(map(names.__getitem__, m[u - 1, u:].tolist())) + "\n")
+
+
+# the largest colour the int32 matrix of a Colouring holds
+_MAX_COLOUR = np.iinfo(np.int32).max
 
 
 def read_colouring(path: str) -> Colouring:
@@ -298,13 +326,22 @@ def read_colouring(path: str) -> Colouring:
     if not lines:
         raise ValueError(f"colouring file {path}: empty")
     n, k = (int(x) for x in lines[0].split())
+    if k > _MAX_COLOUR:
+        raise ValueError(f"colouring file {path}: k = {k} exceeds the largest colour {_MAX_COLOUR}")
     if len(lines) != n:
         raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {len(lines) - 1}")
     m = np.zeros((n, n), dtype=np.int32)
     for u in range(1, n):
-        row = [int(x) for x in lines[u].split()]
+        try:
+            row = np.fromstring(lines[u], dtype=np.int64, sep=" ")
+        except ValueError:
+            raise ValueError(f"colouring file {path}: row {u} holds a token that is not "
+                             "a base-10 integer") from None
         if len(row) != n - u:
             raise ValueError(f"colouring file {path}: row {u} has {len(row)} entries, expected {n - u}")
+        # in int64, before the int32 matrix would wrap an out-of-range colour
+        if row.min() < 1 or row.max() > k:
+            raise ValueError("edge colours must lie in [1..k]")
         m[u - 1, u:] = row
         m[u:, u - 1] = row
     return Colouring(n, k, m)

@@ -209,6 +209,35 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     assert out == ""
 
 
+MALFORMED_COLOURINGS = {
+    "empty": "",
+    "one-token-header": "3\n1 1\n1\n",
+    "missing-row": "3 2\n1 1\n",
+    "extra-row": "3 2\n1 1\n1\n1\n",
+    "short-row": "3 2\n1\n1\n",
+    "long-row": "3 2\n1 1 1\n1\n",
+    "token-x": "3 2\n1 x\n1\n",
+    "token-1.5": "3 2\n1 1.5\n1\n",
+    "token-1,2": "3 2\n1,2\n1\n",
+    "colour-0": "3 2\n1 0\n1\n",
+    "colour-k+1": "3 2\n1 3\n1\n",
+    "colour-minus-1": "3 2\n1 -1\n1\n",
+    "colour-2^32+1": "3 2\n1 4294967297\n1\n",
+    "huge-header-k": "2 99999999999999999999\n1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_COLOURINGS.values(), ids=MALFORMED_COLOURINGS)
+def test_malformed_colouring_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.col"
+    path.write_text(text)
+    assert run("verify", "--colouring", path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_forest_search_out_of_budget_gives_up(tmp_path, capsys):
     # the lex fill has a vertex of colour degree 21, so a rainbow K_{1,8}
     # exists, but the search runs out of nodes before it finds one

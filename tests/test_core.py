@@ -118,6 +118,45 @@ class TestColouring:
         with pytest.raises(ValueError):
             Colouring(2, 3, m)
 
+    # Each case pins its exact message; a range fault wins over a diagonal or
+    # symmetry fault.
+    @pytest.mark.parametrize("n, rows, message", [
+        (2, [[1, 2], [2, 0]], "matrix must be symmetric with zero diagonal"),
+        (3, [[0, 1, 2], [1, 0, 1], [1, 1, 0]], "matrix must be symmetric with zero diagonal"),
+        (3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]], r"edge colours must lie in \[1..k\]"),
+        (2, [[0, 3], [3, 0]], r"edge colours must lie in \[1..k\]"),
+        (2, [[0, -1], [-1, 0]], r"edge colours must lie in \[1..k\]"),
+        (2, [[1, 0], [0, 0]], r"edge colours must lie in \[1..k\]"),
+        (2, [[0, 1, 1], [1, 0, 1]], r"matrix shape \(2, 3\) != \(2,2\)"),
+        (1, [[7]], "matrix must be symmetric with zero diagonal"),
+        (2, [[0, 1], [1, 5]], "matrix must be symmetric with zero diagonal"),
+        (0, [[0]], "need n >= 1 and k >= 1"),
+    ], ids=["diagonal", "asymmetric", "off-diagonal-0", "k+1", "negative",
+            "0-and-diagonal", "shape", "n1-diagonal", "diagonal-above-k", "n0"])
+    def test_rejects_bad_matrix(self, n, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Colouring(n, 2, np.array(rows))
+
+    def test_symmetry_checked_in_every_row_block(self):
+        n = 700
+        m = np.ones((n, n), dtype=np.int32)
+        np.fill_diagonal(m, 0)
+        # both ends in the last rows, so only the last block holds this pair
+        m[n - 2, n - 50] = 2
+        with pytest.raises(ValueError, match="symmetric"):
+            Colouring(n, 2, m)
+        m[n - 50, n - 2] = 2
+        assert Colouring(n, 2, m).colour_of(n - 1, n - 49) == 2
+
+    def test_counts_match_full_matrix_bincount(self, rng):
+        # large k and every row block: the reference counts the whole matrix
+        for n, k in ((700, 3), (700, 300000), (5, 10 ** 6)):
+            gen = np.random.default_rng(rng.randint(0, 10 ** 9))
+            m = np.triu(gen.integers(1, k + 1, (n, n), dtype=np.int32), 1)
+            col = Colouring(n, k, m + m.T)
+            full = np.bincount(col.matrix.ravel(), minlength=k + 1)
+            assert colour_counts(col) == (full[1:] // 2).tolist()
+
     def test_induced(self):
         col = Colouring.from_edge_colours(
             4, 3, {(1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 1, (2, 4): 2, (3, 4): 3})
@@ -147,6 +186,32 @@ class TestFileFormats:
         p2 = tmp_path / "col2.txt"
         write_colouring(back, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 9, 10, 99, 100, 101, 255, 256, 999, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_colouring_rewrite_is_byte_identical(self, tmp_path, n, k):
+        gen = np.random.default_rng(1000 * n + k)
+        m = np.triu(gen.integers(1, k + 1, (n, n), dtype=np.int32), 1)
+        if n > 1:
+            m[0, n - 1] = k
+        col = Colouring(n, k, m + m.T)
+        p, p2 = tmp_path / "a.col", tmp_path / "b.col"
+        write_colouring(col, p)
+        back = read_colouring(p)
+        assert back == col
+        write_colouring(back, p2)
+        assert p.read_bytes() == p2.read_bytes()
+
+    def test_colouring_reader_tolerates_layout(self, tmp_path):
+        col = Colouring.from_edge_colours(
+            4, 12, {(1, 2): 1, (1, 3): 12, (1, 4): 3, (2, 3): 10, (2, 4): 2, (3, 4): 7})
+        canonical = tmp_path / "canonical.col"
+        write_colouring(col, canonical)
+        assert canonical.read_text() == "4 12\n1 12 3\n10 2\n7\n"
+        messy = tmp_path / "messy.col"
+        messy.write_bytes(b"# header next\r\n 4\t12 \r\n1  12\t 3   \r\n"
+                          b"  # between rows\r\n\r\n\t10 2\r\n#\n7 \n# trailing\n")
+        assert read_colouring(messy) == read_colouring(canonical) == col
 
     def test_target_roundtrip(self, tmp_path):
         H = petersen()
