@@ -8,6 +8,7 @@ so a certificate is replayable without a block registry.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -423,13 +424,14 @@ def _require_good(n: int, seq: DistributionSequence) -> None:
 
 
 def _max_step_size(x: int, budget: int) -> int:
-    """Largest c with 1 <= c <= (x-1)//2 and c*(x-c) <= budget; 0 when none."""
-    cap = (x - 1) // 2
+    """Largest c with 1 <= c <= x//2 and c*(x-c) <= budget; 0 when none."""
+    cap = x // 2
     if cap < 1 or budget < x - 1:
         return 0
     disc = x * x - 4 * budget
     if disc <= 0:
         return cap
+    # c(x-c) <= budget holds exactly for c <= (x - sqrt(disc))/2 on [0, x/2]
     c = (x - math.isqrt(disc)) // 2
     while c > 0 and c * (x - c) > budget:
         c -= 1
@@ -504,7 +506,9 @@ def construct_staged(n: int, seq: DistributionSequence,
             x = big[1] - big[0] + 1
             if x < d.stop_below:
                 break
-            cj = _max_step_size(x, state.budgets[j - 1])
+            # stage 2 keeps t < x/2; c(x-c) grows up to x/2, so the clamp is
+            # the largest fitting c below that cap
+            cj = min(_max_step_size(x, state.budgets[j - 1]), (x - 1) // 2)
             if cj < 1:
                 raise StagedInfeasible(
                     2, f"colour {j}: budget {state.budgets[j - 1]} < x-1 = {x - 1}")
@@ -578,6 +582,31 @@ def greedy_descent(state: SplitState) -> bool:
             return False
 
 
+def max_split_descent(state: SplitState) -> bool:
+    """Straight-line pass of the paper's maximal-size splitting: split the
+    largest block s in the colour of the largest budget (ties to the lowest
+    colour) with the largest t <= s/2 whose t(s-t) fits that budget. Never
+    backtracks; True when the state is fully coloured, False once the largest
+    budget is below s-1."""
+    budgets = state.budgets
+    # (-size, lo) pops the block SplitState.largest_block would pick, in
+    # O(log n) where it scans every block
+    heap = [(lo - hi, lo) for lo, hi in state.blocks.items()]
+    heapq.heapify(heap)
+    while heap:
+        lo = heapq.heappop(heap)[1]
+        hi = state.blocks[lo]
+        b = max(budgets)
+        t = _max_step_size(hi - lo + 1, b)
+        if t < 1:
+            return False
+        state.apply_step(lo, t, budgets.index(b) + 1)
+        for part in (lo, hi - t + 1):
+            if part in state.blocks:
+                heapq.heappush(heap, (part - state.blocks[part], part))
+    return True
+
+
 @dataclass
 class GreedyResult:
     status: str  # "certificate" | "infeasible" | "giveup"
@@ -587,19 +616,32 @@ class GreedyResult:
 
 def construct_greedy(n: int, seq: DistributionSequence,
                      node_budget: int = 500_000) -> GreedyResult:
-    """Depth-first search over standard colouring steps.
+    """Two straight-line descents, then a depth-first search.
 
-    A straight-line best-fit descent is tried first; on failure the search
-    backtracks over (t, colour) moves on the largest block, colours in
-    decreasing budget order, memoising dead states on the (block sizes,
-    budgets) multiset pair. Instances with n <= 12 are always exhausted, so
-    "infeasible" is a proof there; larger instances give up past node_budget.
+    The best-fit descent (greedy_descent) runs first, then the maximal-size
+    split (max_split_descent) on a fresh state; the first to colour every
+    block gives the certificate, with 0 search nodes. Only when both stall
+    does greedy_search run.
     """
     _require_good(n, seq)
-    fast = SplitState.initial(n, seq.e)
-    if greedy_descent(fast):
-        return GreedyResult("certificate", fast.to_certificate({"strategy": "greedy"}))
+    for descent in (greedy_descent, max_split_descent):
+        state = SplitState.initial(n, seq.e)
+        if descent(state):
+            return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}))
+    return greedy_search(n, seq, node_budget)
 
+
+def greedy_search(n: int, seq: DistributionSequence,
+                  node_budget: int = 500_000) -> GreedyResult:
+    """Depth-first search over standard colouring steps.
+
+    The search backtracks over (t, colour) moves on the largest block,
+    colours in decreasing budget order, memoising dead states on the (block
+    sizes, budgets) multiset pair. Instances with n <= 12 are always
+    exhausted, so "infeasible" is a proof there; larger instances give up
+    past node_budget.
+    """
+    _require_good(n, seq)
     state = SplitState.initial(n, seq.e)
     budgets = state.budgets
     dead: set[tuple] = set()

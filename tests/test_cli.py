@@ -6,11 +6,13 @@ from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    lex_colouring,
     read_colouring,
     write_colouring,
     write_sequence,
     write_target,
 )
+from gallaikit.verifier import find_rainbow_tree
 
 
 def run(*args) -> int:
@@ -238,17 +240,29 @@ def test_malformed_colouring_is_usage_error(text, tmp_path, capsys):
     assert out == ""
 
 
-def test_forest_search_out_of_budget_gives_up(tmp_path, capsys):
-    # the lex fill has a vertex of colour degree 21, so a rainbow K_{1,8}
-    # exists, but the search runs out of nodes before it finds one
+STAR8_72 = "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144"
+
+
+def test_forest_search_finds_rainbow_star_in_standard_colouring(tmp_path, capsys):
+    # the maximal-size split realises these counts, and the tree search
+    # finds a rainbow K_{1,8} in that colouring: a witness, not a give-up
     write_target(TargetGraph.star(8), tmp_path / "star8.txt")
     code = run("construct", "--target", tmp_path / "star8.txt", "--n", "72", "--seq",
-               "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144",
-               "--out", tmp_path / "out.col")
+               STAR8_72, "--out", tmp_path / "out.col")
     out, err = capsys.readouterr()
     assert code == 3
-    assert "node budget" in err
+    assert "greedy colouring contains a rainbow copy" in err
+    assert "RAINBOW " in err and "node budget" not in err
     assert out == "" and not (tmp_path / "out.col").exists()
+
+
+def test_forest_search_out_of_budget_gives_up():
+    # the lex fill has a vertex of colour degree 21, so a rainbow K_{1,8}
+    # exists, but the search runs out of nodes before it finds one
+    seq = DistributionSequence.of(72, [int(x) for x in STAR8_72.split()])
+    search = find_rainbow_tree(lex_colouring(seq), TargetGraph.star(8))
+    assert not search.exhausted and not search.found
+    assert search.nodes_used == 1_000_000
 
 
 class TestOracleCommand:

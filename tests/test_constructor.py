@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -14,6 +15,7 @@ from gallaikit.core import (
 from gallaikit.constructor import (
     SplitState,
     StageConstants,
+    _max_step_size,
     batch_steps,
     construct,
     construct_greedy,
@@ -22,6 +24,8 @@ from gallaikit.constructor import (
     construct_staged,
     cushion,
     drain_with_cushion,
+    greedy_search,
+    max_split_descent,
     read_certificate,
     realize_certificate,
     reduce_large,
@@ -247,15 +251,93 @@ class TestConstructGreedy:
          "664075cf0a8741507a0343be64101de26d5d3498b6b9231c0bd8760d57ccf061"),
     ])
     def test_search_nodes_and_steps_pinned(self, line, nodes, steps_sha256):
-        # sequences from the k3-search benchmark pool on which the descent
-        # fails; the depth-first search must visit the same nodes and emit
-        # the same steps as before the colour order was hoisted out of the t loop
+        # sequences from the k3-search benchmark pool on which the best-fit
+        # descent fails; the depth-first search must visit the same nodes and
+        # emit the same steps as before the colour order was hoisted out of
+        # the t loop
         n, *e = (int(x) for x in line.split())
-        res = construct_greedy(n, DistributionSequence.of(n, e))
+        res = greedy_search(n, DistributionSequence.of(n, e))
         assert res.status == "certificate"
         assert res.nodes == nodes
         text = "".join(f"{s.lo} {s.hi} {s.t} {s.colour}\n" for s in res.certificate.steps)
         assert hashlib.sha256(text.encode()).hexdigest() == steps_sha256
+
+    def test_search_runs_only_when_both_descents_fail(self):
+        # the maximal-size split realises the first pinned sequence above
+        # without a search node; on this one both descents stall
+        n, e = 42, (129, 34, 214, 62, 5, 16, 78, 177, 40, 106)
+        res = construct_greedy(n, DistributionSequence.of(n, e))
+        assert res.status == "certificate" and res.nodes == 0
+        n, e = 48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102)
+        assert not max_split_descent(SplitState.initial(n, e))
+        res = construct_greedy(n, DistributionSequence.of(n, e))
+        assert res.status == "certificate" and res.nodes == 275
+        assert res.certificate.metadata == {"strategy": "greedy"}
+
+
+def _gamma_sequence(rng: random.Random, n: int, k: int, shape: float) -> DistributionSequence:
+    """C(n,2) cut into k parts at the rounded prefix sums of gamma weights."""
+    w = [rng.gammavariate(shape, 1.0) for _ in range(k)]
+    total, scale = comb(n, 2), sum(w)
+    cuts, acc = [0], 0.0
+    for x in w[:-1]:
+        acc += x
+        cuts.append(round(total * acc / scale))
+    cuts.append(total)
+    return DistributionSequence.of(n, [b - a for a, b in zip(cuts, cuts[1:])])
+
+
+class TestMaxSplitDescent:
+    def test_step_size_against_brute_force(self):
+        # the largest fitting t <= x/2, and clamped to (x-1)//2 the t that
+        # construct_staged's stage 2 took before the cap moved to x/2
+        for x in range(2, 80):
+            for budget in range(x * x // 4 + 2):
+                fits = [t for t in range(1, x // 2 + 1) if t * (x - t) <= budget]
+                assert _max_step_size(x, budget) == max(fits, default=0), (x, budget)
+                below = [t for t in fits if t <= (x - 1) // 2]
+                assert min(_max_step_size(x, budget), (x - 1) // 2) == max(below, default=0)
+
+    def test_block_of_two_splits(self):
+        st = SplitState.synthetic([2, 2], [1, 1])
+        assert max_split_descent(st)
+        assert [(s.lo, s.t, s.colour) for s in st.steps] == [(1, 1, 1), (3, 1, 2)]
+
+    def test_largest_t_in_largest_budget(self):
+        # t(6-t) <= 9 allows t = 3, the whole half; then colours 1 and 3 tie
+        # at budget 3, and the tie goes to colour 1
+        st = SplitState.synthetic([6], [3, 9, 3])
+        assert max_split_descent(st)
+        assert [(s.t, s.colour) for s in st.steps] == [(3, 2), (1, 1), (1, 3), (1, 1), (1, 3)]
+
+    def test_stalls_below_s_minus_one(self):
+        st = SplitState.synthetic([4], [2, 2, 2])
+        assert not max_split_descent(st) and not st.steps
+
+    def test_certificates_replay_to_the_counts(self, rng):
+        realised = 0
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            seq = random_sequence(rng, n, rng.randint(1, 8))
+            st = SplitState.initial(n, seq.e)
+            if max_split_descent(st):
+                realised += 1
+                col = realize_certificate(st.to_certificate())
+                assert colour_counts(col) == list(seq.e)
+        assert realised > 100
+
+    @pytest.mark.parametrize("k, n", [(20, 104), (40, 264), (80, 684)])
+    def test_paper_regime_constructs(self, k, n):
+        # n = ceil(2 k^1.5 / sqrt(ln k)): the balanced sequence and six seeded
+        # gamma compositions each get a certificate that verifies
+        assert n == math.ceil(2 * k ** 1.5 / math.sqrt(math.log(k)))
+        rng = random.Random(k)
+        seqs = [balanced_sequence(n, k)] + [
+            _gamma_sequence(rng, n, k, shape) for shape in (0.3, 0.3, 1, 1, 3, 3)]
+        for seq in seqs:
+            res = construct(TargetGraph.complete(3), n, seq)
+            assert res.status == "ok" and res.strategy == "greedy", seq.e
+            assert verify_certificate(res.certificate, res.colouring, seq).ok
 
 
 class TestConstructStaged:

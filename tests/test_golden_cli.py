@@ -30,9 +30,12 @@ from gallaikit.core import (
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_cli.txt"
 
-# A pool sequence of the k3-search benchmark on which the greedy descent
-# fails and the depth-first search runs (1568 nodes).
+# A pool sequence of the k3-search benchmark on which the best-fit descent
+# fails; the maximal-size split descent realises it without a search.
 DFS_42 = "129 34 214 62 5 16 78 177 40 106"
+# A sequence on which both descents fail and the depth-first search runs
+# (275 nodes).
+DFS_48 = "67 167 126 48 131 201 72 36 65 80 33 102"
 
 
 def _random_seq(seed: int, n: int, k: int) -> str:
@@ -74,6 +77,7 @@ CORPUS: list[tuple[str, list[str]]] = [
     *_built("k3-n10-rand", "builtin:K3", 10, [_random_seq(1, 10, 4)]),
     *_built("k3-n26-staged", "builtin:K3", 26, ["balanced", "--k", "3"]),
     *_built("k3-n42-dfs", "builtin:K3", 42, [DFS_42]),
+    *_built("k3-n48-dfs", "builtin:K3", 48, [DFS_48]),
     *_built("k3-n60-rand", "builtin:K3", 60, [_random_seq(2, 60, 6)]),
     *_built("k3-n120", "builtin:K3", 120, ["balanced", "--k", "10"]),
     ("construct-k4-n6-gives-up", ["construct", "--target", "builtin:K4", "--n", "6",

@@ -21,6 +21,7 @@ from gallaikit.constructor import (
     StepRecord,
     construct_greedy,
     construct_mindeg3,
+    greedy_search,
     read_certificate,
     realize_certificate,
     write_certificate,
@@ -321,8 +322,9 @@ class TestVerifyCertificate:
 
 
 class TestReplayKernel:
-    """Damaged copies of one greedy certificate: every replay check must fail
-    at the right step, in verify_certificate, realize_certificate and the CLI."""
+    """Damaged copies of one depth-first search certificate: every replay
+    check must fail at the right step, in verify_certificate,
+    realize_certificate and the CLI."""
 
     SEQ = DistributionSequence.of(6, (1, 1, 13))
     STEPS = [StepRecord(1, 6, 1, 3), StepRecord(1, 5, 1, 3), StepRecord(1, 4, 2, 3),
@@ -341,7 +343,9 @@ class TestReplayKernel:
     }
 
     def test_greedy_certificate_is_the_undamaged_one(self):
-        res = construct_greedy(6, self.SEQ)
+        # the maximal-size split realises SEQ too, by other steps; the damage
+        # cases are written against the depth-first search's steps
+        res = greedy_search(6, self.SEQ)
         assert res.certificate.steps == self.STEPS
         assert verify_certificate(res.certificate, realize_certificate(res.certificate),
                                   self.SEQ).ok
