@@ -26,7 +26,6 @@ from .verifier import (
     find_gallai_partition,
     find_rainbow_cycle,
     find_rainbow_subgraph,
-    find_rainbow_tree,
     find_rainbow_triangle,
     verify_certificate,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "realize_certificate",
     "Embedding", "GallaiPartition",
     "find_gallai_partition", "find_rainbow_cycle", "find_rainbow_subgraph",
-    "find_rainbow_tree", "find_rainbow_triangle", "verify_certificate",
+    "find_rainbow_triangle", "verify_certificate",
     "InfeasibilityCertificate", "clash_bound_check", "peel_splitting_process",
     "sample_rainbow_km", "tree_forced_check", "tree_threshold",
     "triangle_hard_sequence", "triangle_infeasibility_check",

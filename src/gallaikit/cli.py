@@ -25,7 +25,7 @@ from .core import (
     write_colouring,
 )
 from .constructor import (
-    NEEDS_DEGENERACY,
+    STANDARD_DEGENERACY,
     construct,
     construct_greedy,
     read_certificate,
@@ -123,8 +123,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="colour count for --seq balanced")
     p.add_argument("--out", help="write the colouring here")
     p.add_argument("--cert", help="write the split certificate here")
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "staged", "greedy", "mindeg3"])
 
     p = sub.add_parser("verify", help="check a colouring against target/cert/sequence")
     p.add_argument("--colouring", required=True)
@@ -161,7 +159,7 @@ def _cmd_construct(args) -> int:
         raise _UsageError(
             f"sequence sums to {seq.total}, not C({args.n},2) = {args.n * (args.n - 1) // 2}")
     try:
-        result = construct(H, args.n, seq, strategy=args.strategy)
+        result = construct(H, args.n, seq)
     except NotConstructed as ex:
         for reason in ex.reasons:
             print(f"gave up: {reason}", file=sys.stderr)
@@ -310,7 +308,7 @@ def _cmd_oracle(args) -> int:
                             node_budget_per_seq=args.budget,
                             total_node_budget=args.total_budget)
     # a greedy certificate only rules out a rainbow cycle, so forests skip it
-    use_greedy = degeneracy(H) >= NEEDS_DEGENERACY["greedy"]
+    use_greedy = degeneracy(H) >= STANDARD_DEGENERACY
     disagreements = 0
     with open(table_path, "w", encoding="utf-8") as tf, \
             open(agree_path, "w", encoding="utf-8") as af:

@@ -784,42 +784,31 @@ class ConstructionResult:
     reasons: list[str] = field(default_factory=list)
 
 
-# Degeneracy of H that each strategy's proof covers: the two-colour peel of
-# mindeg3 rules out rainbow subgraphs of minimum degree >= 3, and a standard
-# colouring rules out rainbow cycles.
-NEEDS_DEGENERACY = {"mindeg3": 3, "staged": 2, "greedy": 2}
+# Degeneracy of H from which each link's proof rules out a rainbow copy: the
+# two-colour peel of mindeg3 rules out rainbow subgraphs of minimum degree >= 3,
+# and a standard colouring rules out rainbow cycles.
+MINDEG3_DEGENERACY = 3
+STANDARD_DEGENERACY = 2
 
 
-def construct(H: TargetGraph, n: int, seq: DistributionSequence,
-              strategy: str = "auto",
-              node_budget: int = 500_000) -> ConstructionResult:
+def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> ConstructionResult:
     """Build a rainbow-H-free colouring realising seq, or prove that none exists.
 
     One chain of links, each tried only where its proof covers H: the trivial
     fill when H does not fit in K_n; mindeg3 at degeneracy >= 3 and n >= 2k;
     staged, then greedy or the clash bound, at degeneracy >= 2; and for
     forests the forest step, which returns a colouring only after an
-    exhaustive search finds no rainbow copy of H in it. An explicit strategy
-    runs only its own link and raises PreconditionViolation when H's
-    degeneracy is below what its proof needs. Raises NotConstructed (with the
-    reason chain) when no link succeeds and no infeasibility certificate
-    applies.
+    exhaustive search finds no rainbow copy of H in it. Raises NotConstructed
+    (with the reason chain) when no link succeeds and no infeasibility
+    certificate applies.
     """
     from . import bounds
-    from .verifier import find_rainbow_subgraph, find_rainbow_tree
+    from .verifier import find_rainbow_subgraph
 
     _require_good(n, seq)
-    if strategy != "auto" and strategy not in NEEDS_DEGENERACY:
-        raise PreconditionViolation(f"unknown strategy {strategy!r}")
     deg = degeneracy(H)
-    if deg < NEEDS_DEGENERACY.get(strategy, 0):
-        raise PreconditionViolation(
-            f"{strategy} strategy needs degeneracy >= {NEEDS_DEGENERACY[strategy]}")
     k_eff = sum(1 for e in seq.e if e > 0)
     reasons: list[str] = []
-
-    def runs(link: str) -> bool:
-        return strategy in ("auto", link) and deg >= NEEDS_DEGENERACY[link]
 
     if H.m > n:
         # No copy of H fits at all; any colouring with the right counts works.
@@ -827,22 +816,19 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
                                   strategy="trivial-fill",
                                   reasons=[f"target has {H.m} > {n} vertices"])
 
-    if runs("mindeg3"):
-        # an explicit mindeg3 lets construct_mindeg3 refuse n < 2k itself
-        if n >= 2 * k_eff or strategy == "mindeg3":
+    if deg >= MINDEG3_DEGENERACY:
+        if n >= 2 * k_eff:
             return ConstructionResult("ok", construct_mindeg3(n, seq), strategy="mindeg3")
         reasons.append(f"n={n} < 2k for mindeg3; target contains a cycle, "
                        "falling through to standard colouring")
 
-    if runs("staged"):
+    if deg >= STANDARD_DEGENERACY:
         try:
             cert = construct_staged(n, seq)
             return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
         except StagedInfeasible as ex:
             reasons.append(str(ex))
-
-    if runs("greedy"):
-        res = construct_greedy(n, seq, node_budget)
+        res = construct_greedy(n, seq)
         if res.status == "certificate":
             return ConstructionResult("ok", realize_certificate(res.certificate),
                                       res.certificate, "greedy")
@@ -854,8 +840,6 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
                     "infeasible", infeasibility=cert,
                     reasons=reasons + ["clash bound forces a rainbow complete graph"])
             reasons.append("clash bound inconclusive")
-
-    if deg >= 2:
         raise NotConstructed(reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.
@@ -870,7 +854,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
              "in every colouring; no sequence is realisable"])
     # Attempt some realisation of the counts and search it exhaustively; a
     # standard colouring carries no guarantee against rainbow trees.
-    res = construct_greedy(n, seq, node_budget)
+    res = construct_greedy(n, seq)
     if res.status == "certificate":
         cert = res.certificate
         col = realize_certificate(cert)
@@ -880,7 +864,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence,
         cert = None
         col = lex_colouring(seq)
         attempt = "lex-fill"
-    search = (find_rainbow_tree if H.is_tree() else find_rainbow_subgraph)(col, H)
+    search = find_rainbow_subgraph(col, H)
     if search.exhausted:
         return ConstructionResult("ok", col, cert, attempt,
                                   reasons=["verified rainbow-free explicitly"])

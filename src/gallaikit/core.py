@@ -85,30 +85,20 @@ class TargetGraph:
 
 
 @lru_cache(maxsize=None)
-def min_degree_peel(H: TargetGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Delete a vertex of least degree, ties to the smallest index, until none
-    is left; each deleted vertex comes with its neighbours still present.
-
-    On a tree every deletion but the last takes a leaf with its one
-    neighbour, so the reversed order grows the tree leaf by leaf.
-    """
-    adj = H.adjacency()
-    order = []
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        for w in adj[v]:
-            adj[w].discard(v)
-        order.append((v, tuple(sorted(adj.pop(v)))))
-    return tuple(order)
-
-
 def degeneracy(H: TargetGraph) -> int:
     """Smallest d such that repeated minimum-degree deletion never sees degree > d.
 
     Edgeless graphs are 0-degenerate by convention; forests are exactly the
     1-degenerate graphs.
     """
-    return max(len(nbrs) for _, nbrs in min_degree_peel(H))
+    adj = H.adjacency()
+    d = 0
+    while adj:
+        v = min(adj, key=lambda x: len(adj[x]))
+        d = max(d, len(adj[v]))
+        for w in adj.pop(v):
+            adj[w].discard(v)
+    return d
 
 
 @dataclass(frozen=True)
@@ -168,6 +158,11 @@ def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
         yield lo, min(lo + rows, n)
 
 
+# the int32 matrix of a Colouring holds colours up to _MAX_COLOUR
+_INT32 = np.iinfo(np.int32)
+_MAX_COLOUR = _INT32.max
+
+
 def _is_symmetric(m: np.ndarray) -> bool:
     return all(np.array_equal(m[lo:hi, lo:], m[lo:, lo:hi].T) for lo, hi in _row_blocks(len(m)))
 
@@ -184,9 +179,13 @@ class Colouring:
     def __init__(self, n: int, k: int, matrix: np.ndarray):
         if n < 1 or k < 1:
             raise ValueError("need n >= 1 and k >= 1")
-        m = np.array(matrix, dtype=np.int32)
+        m = np.asarray(matrix)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} != ({n},{n})")
+        # a wider input is range-checked before the int32 cast could wrap it
+        if m.dtype != np.int32 and (m.min() < _INT32.min or m.max() > _INT32.max):
+            raise ValueError("edge colours must lie in [1..k]")
+        m = np.array(m, dtype=np.int32)
         diagonal = np.diagonal(m).copy()
         # with ones on the diagonal, min and max see only the edge colours
         np.fill_diagonal(m, 1)
@@ -315,10 +314,6 @@ def write_colouring(col: Colouring, path: str) -> None:
         f.write(f"{col.n} {col.k}\n")
         for u in range(1, col.n):
             f.write(" ".join(map(names.__getitem__, m[u - 1, u:].tolist())) + "\n")
-
-
-# the largest colour the int32 matrix of a Colouring holds
-_MAX_COLOUR = np.iinfo(np.int32).max
 
 
 def read_colouring(path: str) -> Colouring:

@@ -1,7 +1,9 @@
 """Rainbow-substructure searches, Gallai partitions, certificate checks.
 
 All searches are deterministic and return the lexicographically least witness
-under vertex order, so test fixtures are reproducible.
+under vertex order, so test fixtures are reproducible. One backtracking
+search, find_rainbow_subgraph, serves every target, forests included; K3 and
+cycles also have their own scans.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
 from .core import (
-    Colouring, DistributionSequence, TargetGraph, colour_counts, degeneracy, min_degree_peel,
+    Colouring, DistributionSequence, TargetGraph, _row_blocks, colour_counts, degeneracy,
 )
 from .errors import PreconditionViolation, StructuralMismatch
 
@@ -78,19 +80,37 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def colour_degrees(col: Colouring) -> np.ndarray:
+    """Entry v-1 = number of distinct colours on the edges at vertex v.
+
+    Each block of rows is sorted; a row's one 0, its diagonal, sorts first,
+    so the nonzero steps between neighbours count its distinct colours.
+    """
+    M = col.matrix
+    degrees = np.empty(col.n, dtype=np.intp)
+    for lo, hi in _row_blocks(col.n):
+        degrees[lo:hi] = np.count_nonzero(np.diff(np.sort(M[lo:hi], axis=1), axis=1), axis=1)
+    return degrees
+
+
 def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
                           node_budget: int = 1_000_000) -> SubgraphSearch:
     """Backtracking search for a rainbow copy of H.
 
-    Returns found with the lexicographically least embedding, a definite none
-    only when the search completed, and inconclusive once node_budget vertex
-    assignments have been tried.
+    Vertex j of H is placed only on host vertices whose colour degree is at
+    least its degree in H, which every rainbow copy satisfies. Returns found
+    with the lexicographically least embedding, a definite none only when the
+    search completed, and inconclusive once node_budget vertex assignments
+    have been tried.
     """
     n, m = col.n, H.m
     if m > n:
         return SubgraphSearch(NONE)
     M = col.matrix
     back = {j: [i for i in range(1, j) if (i, j) in H.edges] for j in range(1, m + 1)}
+    adj = H.adjacency()
+    degrees = colour_degrees(col)
+    hosts = {j: (np.flatnonzero(degrees >= len(adj[j])) + 1).tolist() for j in range(1, m + 1)}
     images = [0] * (m + 1)
     used_v = [False] * (n + 1)
     used_c: set[int] = set()
@@ -100,7 +120,7 @@ def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
         nonlocal nodes
         if j > m:
             return Embedding(tuple(images[1:]))
-        for u in range(1, n + 1):
+        for u in hosts[j]:
             if used_v[u]:
                 continue
             nodes += 1
@@ -186,56 +206,6 @@ def find_rainbow_cycle(col: Colouring, max_len: int) -> Embedding | None:
         if hit is not None:
             return Embedding(hit)
     return None
-
-
-def colour_degree(col: Colouring, v: int) -> int:
-    """Number of distinct colours on edges incident to v."""
-    if not 1 <= v <= col.n:
-        raise PreconditionViolation(f"vertex {v} outside [1..{col.n}]")
-    if col.n == 1:
-        return 0
-    row = np.delete(col.matrix[v - 1], v - 1)
-    return int(np.unique(row).size)
-
-
-def find_rainbow_tree(col: Colouring, H: TargetGraph,
-                      fallback_budget: int = 1_000_000) -> SubgraphSearch:
-    """Greedy leaf-by-leaf embedder for tree targets.
-
-    Grows H in the reverse of min_degree_peel's order, each vertex on the
-    first free vertex whose edge to its parent's image has an unused colour.
-    The inner embedding is restricted to vertices of colour degree >= 2m+1;
-    when fewer than m vertices survive that filter it proceeds on all
-    vertices. The outermost leaf may use any vertex. A greedy hit is found;
-    otherwise the result is that of the exhaustive backtracking search.
-    """
-    if not H.is_tree():
-        raise PreconditionViolation("target is not a tree")
-    if H.m > col.n:
-        raise PreconditionViolation(f"m={H.m} exceeds n={col.n}")
-    n, m = col.n, H.m
-    eligible = [v for v in range(1, n + 1) if colour_degree(col, v) >= 2 * m + 1]
-    if len(eligible) < m:
-        eligible = list(range(1, n + 1))
-    (base, _), *inserts = reversed(min_degree_peel(H))
-
-    images = {base: eligible[0]}
-    used_v = {eligible[0]}
-    used_c: set[int] = set()
-    for idx, (v, (parent,)) in enumerate(inserts, start=1):
-        pool = range(1, n + 1) if idx == len(inserts) else eligible  # outermost leaf
-        pick = next(((u, c) for u in pool if u not in used_v
-                     and (c := col.colour_of(images[parent], u)) not in used_c), None)
-        if pick is None:
-            break
-        images[v] = pick[0]
-        used_v.add(pick[0])
-        used_c.add(pick[1])
-    if len(images) == m:
-        emb = Embedding(tuple(images[v] for v in range(1, m + 1)))
-        if embedding_is_rainbow(col, H, emb):
-            return SubgraphSearch(FOUND, emb)
-    return find_rainbow_subgraph(col, H, node_budget=fallback_budget)
 
 
 def peels_two_colours(col: Colouring) -> bool:

@@ -12,7 +12,7 @@ from gallaikit.core import (
     write_sequence,
     write_target,
 )
-from gallaikit.verifier import find_rainbow_tree
+from gallaikit.verifier import embedding_is_rainbow, find_rainbow_subgraph
 
 
 def run(*args) -> int:
@@ -24,9 +24,9 @@ class TestConstructCommand:
         col = tmp_path / "out.col"
         cert = tmp_path / "out.cert"
         code = run("construct", "--target", "builtin:K3", "--n", "6",
-                   "--seq", "balanced", "--k", "2", "--strategy", "greedy",
-                   "--out", col, "--cert", cert)
+                   "--seq", "balanced", "--k", "2", "--out", col, "--cert", cert)
         assert code == 0
+        assert "strategy=greedy" in capsys.readouterr().out
         assert col.exists() and cert.exists()
         code = run("verify", "--colouring", col, "--target", "builtin:K3",
                    "--cert", cert)
@@ -51,12 +51,12 @@ class TestConstructCommand:
         assert run("construct", "--target", "builtin:K9", "--n", "4",
                    "--seq", "balanced", "--k", "2") == 1
 
-    def test_mindeg3_strategy(self, tmp_path):
+    def test_mindeg3_strategy(self, tmp_path, capsys):
         col = tmp_path / "out.col"
         code = run("construct", "--target", "builtin:K4", "--n", "12",
-                   "--seq", "balanced", "--k", "3", "--strategy", "mindeg3",
-                   "--out", col)
+                   "--seq", "balanced", "--k", "3", "--out", col)
         assert code == 0
+        assert "strategy=mindeg3" in capsys.readouterr().out
         assert read_colouring(col).n == 12
 
 
@@ -190,7 +190,7 @@ BAD_INPUT = [
     ["verify", "--target", "builtin:C4", "--budget", "-5"],
     ["oracle", "--k", "2", "--n-max", "3", "--budget", "0"],
     ["oracle", "--k", "2", "--n-max", "3", "--total-budget", "-1"],
-    # explicit standard-colouring strategies on a forest target (P3)
+    # --strategy is not an option of construct
     ["construct", "--n", "26", "--seq", "balanced", "--k", "3", "--strategy", "staged"],
     ["construct", "--n", "10", "--seq", "balanced", "--k", "3", "--strategy", "greedy"],
 ]
@@ -258,11 +258,13 @@ def test_forest_search_finds_rainbow_star_in_standard_colouring(tmp_path, capsys
 
 def test_forest_search_out_of_budget_gives_up():
     # the lex fill has a vertex of colour degree 21, so a rainbow K_{1,8}
-    # exists, but the search runs out of nodes before it finds one
+    # exists; the centre is placed only on hosts of colour degree >= 8, so the
+    # search finds one long before its budget of 10^6 nodes
     seq = DistributionSequence.of(72, [int(x) for x in STAR8_72.split()])
-    search = find_rainbow_tree(lex_colouring(seq), TargetGraph.star(8))
-    assert not search.exhausted and not search.found
-    assert search.nodes_used == 1_000_000
+    col, star = lex_colouring(seq), TargetGraph.star(8)
+    search = find_rainbow_subgraph(col, star)
+    assert search.found and embedding_is_rainbow(col, star, search.embedding)
+    assert search.nodes_used < 1_000
 
 
 class TestOracleCommand:

@@ -11,8 +11,11 @@ from gallaikit.core import (
     TargetGraph,
     balanced_sequence,
     colour_counts,
+    degeneracy,
 )
 from gallaikit.constructor import (
+    MINDEG3_DEGENERACY,
+    STANDARD_DEGENERACY,
     SplitState,
     StageConstants,
     _max_step_size,
@@ -468,12 +471,6 @@ class TestConstructDispatch:
         with pytest.raises(NotConstructed):
             construct(TargetGraph(3, frozenset()), 5, seq)
 
-    @pytest.mark.parametrize("strategy,needed", [("staged", 2), ("greedy", 2), ("mindeg3", 3)])
-    def test_explicit_strategy_needs_its_degeneracy(self, strategy, needed):
-        with pytest.raises(PreconditionViolation,
-                           match=f"{strategy} strategy needs degeneracy >= {needed}"):
-            construct(TargetGraph.path(3), 26, balanced_sequence(26, 3), strategy=strategy)
-
 
 SMALL_TARGETS = {
     "P3": TargetGraph.path(3),
@@ -485,25 +482,50 @@ SMALL_TARGETS = {
 }
 
 
+def _greedy_colouring(n: int, seq: DistributionSequence):
+    res = construct_greedy(n, seq)
+    if res.status != "certificate":
+        raise NotConstructed([f"greedy: {res.status}"])
+    return realize_certificate(res.certificate)
+
+
+# Each link of construct's chain: the degeneracy from which its proof rules
+# out a rainbow copy of the target, and the colouring it builds.
+LINKS = {
+    "staged": (STANDARD_DEGENERACY, lambda n, seq: realize_certificate(construct_staged(n, seq))),
+    "greedy": (STANDARD_DEGENERACY, _greedy_colouring),
+    "mindeg3": (MINDEG3_DEGENERACY, construct_mindeg3),
+}
+
+
 @pytest.mark.parametrize("name", SMALL_TARGETS)
-@pytest.mark.parametrize("strategy", ["auto", "staged", "greedy", "mindeg3"])
-def test_no_colouring_without_proof(strategy, name, rng):
+@pytest.mark.parametrize("link", ["auto", *LINKS])
+def test_no_colouring_without_proof(link, name, rng):
     """construct either raises, proves infeasibility, or returns a colouring
     with the asked counts in which the exhaustive search finds no rainbow
-    copy of the target."""
+    copy of the target. A link's own colouring passes the same search
+    wherever its proof covers the target; elsewhere construct returns that
+    link's colouring only after the search has cleared it."""
     H = SMALL_TARGETS[name]
+    covered = link != "auto" and degeneracy(H) >= LINKS[link][0]
     for _ in range(30):
         n = rng.randint(2, 8)
         seq = random_sequence(rng, n, rng.randint(1, 4))
         try:
-            res = construct(H, n, seq, strategy=strategy)
-        except (NotConstructed, PreconditionViolation):
+            if covered:
+                col = LINKS[link][1](n, seq)
+            else:
+                res = construct(H, n, seq)
+                if res.status == "infeasible":
+                    assert res.infeasibility.verify()
+                    continue
+                if res.strategy == link:
+                    assert res.reasons == ["verified rainbow-free explicitly"]
+                col = res.colouring
+        except (NotConstructed, PreconditionViolation, StagedInfeasible):
             continue
-        if res.status == "infeasible":
-            assert res.infeasibility.verify()
-            continue
-        assert colour_counts(res.colouring) == list(seq.e)
-        assert find_rainbow_subgraph(res.colouring, H).exhausted, (n, seq.e)
+        assert colour_counts(col) == list(seq.e)
+        assert find_rainbow_subgraph(col, H).exhausted, (n, seq.e)
 
 
 class TestCertificateFiles:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gallaikit
 from gallaikit.core import (
     Colouring,
     DistributionSequence,
@@ -23,6 +25,11 @@ from gallaikit.core import (
 )
 
 from conftest import brute_degeneracy, petersen, random_graph
+
+
+def test_public_names_resolve():
+    for name in gallaikit.__all__:
+        assert hasattr(gallaikit, name), name
 
 
 class TestDegeneracy:
@@ -136,6 +143,30 @@ class TestColouring:
     def test_rejects_bad_matrix(self, n, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Colouring(n, 2, np.array(rows))
+
+    # a wider input is range-checked before the int32 cast, which would wrap
+    # 2**32 + 1 to 1 and 2**32 to 0
+    @pytest.mark.parametrize("rows", [
+        [[0, 2 ** 32 + 1], [2 ** 32 + 1, 0]],
+        [[2 ** 32, 1], [1, 0]],
+        [[0, -(2 ** 32) + 1], [-(2 ** 32) + 1, 0]],
+    ], ids=["edge", "diagonal", "negative-edge"])
+    def test_rejects_values_int32_would_wrap(self, rows):
+        with pytest.raises(ValueError, match=r"^edge colours must lie in \[1..k\]$"):
+            Colouring(2, 2, np.array(rows, dtype=np.int64))
+
+    def test_int32_input_is_copied_once(self):
+        n = 1000
+        m = np.ones((n, n), dtype=np.int32)
+        np.fill_diagonal(m, 0)
+        tracemalloc.start()
+        try:
+            col = Colouring(n, 1, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.matrix is not m
+        assert peak < 1.5 * m.nbytes
 
     def test_symmetry_checked_in_every_row_block(self):
         n = 700

@@ -64,16 +64,9 @@ CORPUS: list[tuple[str, list[str]]] = [
                              "--seq", "2 2 2"]),
     ("construct-k3-not-n-good", ["construct", "--target", "builtin:K3", "--n", "6",
                                  "--seq", "3 3"]),
-    ("construct-k3-n10-staged-only", ["construct", "--target", "builtin:K3", "--n", "10",
-                                      "--seq", "balanced", "--k", "3",
-                                      "--strategy", "staged"]),
-    ("construct-k4-n6-mindeg3-too-small", ["construct", "--target", "builtin:K4",
-                                           "--n", "6", "--seq", "balanced", "--k", "5",
-                                           "--strategy", "mindeg3"]),
     *_built("k3-n3", "builtin:K3", 3, ["2 1"]),
     *_built("k3-n4", "builtin:K3", 4, ["balanced", "--k", "2"]),
-    *_built("k3-n6-greedy", "builtin:K3", 6, ["balanced", "--k", "3"],
-            "--strategy", "greedy"),
+    *_built("k3-n6-greedy", "builtin:K3", 6, ["balanced", "--k", "3"]),
     *_built("k3-n10-rand", "builtin:K3", 10, [_random_seq(1, 10, 4)]),
     *_built("k3-n26-staged", "builtin:K3", 26, ["balanced", "--k", "3"]),
     *_built("k3-n42-dfs", "builtin:K3", 42, [DFS_42]),

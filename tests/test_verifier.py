@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -33,9 +33,8 @@ from gallaikit.verifier import (
     find_gallai_partition,
     find_rainbow_cycle,
     find_rainbow_subgraph,
-    find_rainbow_tree,
     find_rainbow_triangle,
-    colour_degree,
+    colour_degrees,
     partition_lines,
     peels_two_colours,
     proves_rainbow_free,
@@ -104,8 +103,9 @@ class TestRainbowSubgraph:
         assert res.found and embedding_is_rainbow(col, TargetGraph.complete(3), res.embedding)
 
     def test_c4_in_monochromatic_none_exhaustive(self):
+        # every host has colour degree 1 < 2, so no C4 vertex is ever placed
         res = find_rainbow_subgraph(Colouring.monochromatic(6), TargetGraph.cycle(4))
-        assert res.status == "none"
+        assert res.status == "none" and res.nodes_used == 0
 
     def test_k4_in_all_distinct_k7(self):
         res = find_rainbow_subgraph(all_distinct(7), TargetGraph.complete(4))
@@ -113,9 +113,36 @@ class TestRainbowSubgraph:
         assert res.embedding.vertices == (1, 2, 3, 4)
 
     def test_budget_exhaustion_is_inconclusive(self):
-        res = find_rainbow_subgraph(Colouring.monochromatic(8), TargetGraph.cycle(4),
-                                    node_budget=3)
+        # vertex v joins the lower vertices in colour 1 + v mod 2: every vertex
+        # but the last has colour degree 2, so the C4 search has hosts to try
+        m = np.zeros((8, 8), dtype=np.int32)
+        for v in range(2, 9):
+            m[:v - 1, v - 1] = m[v - 1, :v - 1] = 1 + v % 2
+        col = Colouring(8, 2, m)
+        res = find_rainbow_subgraph(col, TargetGraph.cycle(4), node_budget=3)
         assert res.status == "inconclusive"
+        res = find_rainbow_subgraph(col, TargetGraph.cycle(4))
+        assert res.status == "none" and res.nodes_used == 611
+
+    @pytest.mark.parametrize("name, H", [
+        ("P3", TargetGraph.path(3)), ("P4", TargetGraph.path(4)),
+        ("star3", TargetGraph.star(3)), ("C4", TargetGraph.cycle(4)),
+        ("K4", TargetGraph.complete(4)),
+    ])
+    def test_lex_least_witness_matches_brute_force(self, name, H, rng):
+        # permutations yield in lexicographic order, so the first rainbow one
+        # is the least witness; none when no permutation is rainbow
+        statuses = set()
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            col = random_colouring(rng, n, rng.randint(1, 6))
+            brute = next((Embedding(p) for p in permutations(range(1, n + 1), H.m)
+                          if embedding_is_rainbow(col, H, Embedding(p))), None)
+            res = find_rainbow_subgraph(col, H)
+            assert res.status == ("found" if brute else "none")
+            assert res.embedding == brute
+            statuses.add(res.status)
+        assert statuses == {"found", "none"}
 
     def test_pattern_larger_than_host(self):
         res = find_rainbow_subgraph(Colouring.monochromatic(3), TargetGraph.complete(5))
@@ -160,43 +187,38 @@ class TestRainbowCycle:
 
 class TestColourDegree:
     def test_monochromatic(self):
-        col = Colouring.monochromatic(4)
-        assert all(colour_degree(col, v) == 1 for v in range(1, 5))
+        assert colour_degrees(Colouring.monochromatic(4)).tolist() == [1, 1, 1, 1]
 
     def test_rainbow_k3(self):
         col = Colouring.from_edge_colours(3, 3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-        assert all(colour_degree(col, v) == 2 for v in range(1, 4))
+        assert colour_degrees(col).tolist() == [2, 2, 2]
 
     def test_star_pattern(self):
         cols = {(1, 2): 1, (1, 3): 2, (1, 4): 2, (1, 5): 3}
         for u, v in combinations(range(2, 6), 2):
             cols[(u, v)] = 1
         col = Colouring.from_edge_colours(5, 3, cols)
-        assert colour_degree(col, 1) == 3
+        assert colour_degrees(col).tolist() == [3, 1, 2, 2, 2]
+
+    def test_matches_row_sets_in_every_row_block(self, rng):
+        # n = 700 spans two row blocks
+        n = 700
+        gen = np.random.default_rng(rng.randint(0, 10 ** 9))
+        m = np.triu(gen.integers(1, 40, (n, n), dtype=np.int32), 1)
+        col = Colouring(n, 40, m + m.T)
+        want = [len(set(row.tolist()) - {0}) for row in col.matrix]
+        assert colour_degrees(col).tolist() == want
+        assert colour_degrees(Colouring.monochromatic(1)).tolist() == [0]
 
 
 class TestRainbowTree:
     def test_p3_all_distinct(self):
-        emb = find_rainbow_tree(all_distinct(5), TargetGraph.path(3)).embedding
+        emb = find_rainbow_subgraph(all_distinct(5), TargetGraph.path(3)).embedding
         assert emb is not None
         assert embedding_is_rainbow(all_distinct(5), TargetGraph.path(3), emb)
 
     def test_p3_monochromatic(self):
-        assert find_rainbow_tree(Colouring.monochromatic(5), TargetGraph.path(3)).exhausted
-
-    def test_p4_in_k8_all_distinct_uses_soft_filter(self):
-        # colour degree is 7 < 2*4+1 = 9 everywhere, so the filter empties and
-        # the greedy proceeds on all vertices; it must succeed without the
-        # exhaustive fallback (fallback_budget=0 would make fallback useless).
-        col = all_distinct(8)
-        H = TargetGraph.path(4)
-        emb = find_rainbow_tree(col, H, fallback_budget=1).embedding
-        assert emb is not None
-        assert embedding_is_rainbow(col, H, emb)
-
-    def test_rejects_non_tree(self):
-        with pytest.raises(PreconditionViolation):
-            find_rainbow_tree(Colouring.monochromatic(4), TargetGraph.cycle(3))
+        assert find_rainbow_subgraph(Colouring.monochromatic(5), TargetGraph.path(3)).exhausted
 
     def test_success_is_always_rainbow(self, rng):
         for _ in range(30):
@@ -204,7 +226,7 @@ class TestRainbowTree:
             k = rng.randint(2, comb(n, 2))
             col = random_colouring(rng, n, k)
             H = TargetGraph.path(rng.randint(2, 4))
-            emb = find_rainbow_tree(col, H).embedding
+            emb = find_rainbow_subgraph(col, H).embedding
             if emb is not None:
                 assert embedding_is_rainbow(col, H, emb)
 
