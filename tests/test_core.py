@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from math import comb
@@ -22,6 +23,7 @@ from gallaikit.core import (
     write_colouring,
     write_sequence,
     write_target,
+    zero_matrix,
 )
 
 from conftest import brute_degeneracy, petersen, random_graph
@@ -119,6 +121,25 @@ class TestColouring:
         col = Colouring.monochromatic(3)
         with pytest.raises(ValueError):
             col.matrix[0, 1] = 2
+
+    def test_copies_the_caller_matrix(self):
+        m = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        col = Colouring(2, 2, m)
+        m[0, 1] = m[1, 0] = 2
+        assert col.colour_of(1, 2) == 1
+
+    def test_mapped_matrix_behaves_like_an_array(self, tmp_path):
+        # from n = 1024 on, zero_matrix maps the matrix's own pages
+        n = 1024
+        m = zero_matrix(n)
+        assert m.shape == (n, n) and m.dtype == np.int32 and not m.any()
+        col = Colouring.monochromatic(n, colour=2, k=3)
+        with pytest.raises(ValueError):
+            col.matrix[0, 1] = 1
+        assert colour_counts(col) == [0, comb(n, 2), 0]
+        assert pickle.loads(pickle.dumps(col)) == col
+        write_colouring(col, tmp_path / "big.col")
+        assert read_colouring(tmp_path / "big.col") == col
 
     def test_validates_colour_range(self):
         m = np.array([[0, 5], [5, 0]], dtype=np.int32)

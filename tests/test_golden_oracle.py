@@ -5,6 +5,8 @@ runs through `oracle.is_realizable`; its status and the sha256 of its witness
 matrix must match `fixtures/golden_oracle.txt`. For the K3, C4 and K4 tables
 the number of search nodes is pinned too, since those targets keep their
 exact pruning; other targets pin only what a search must return.
+`oracle.exact_g` must give every table the fixture's status column, whichever
+of its two searches decides a row.
 
 The fixture pins the oracle as it was when K3 had its own domain search and
 every other target a separate assignment loop. Do not regenerate it to make
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from gallaikit.core import DistributionSequence, TargetGraph
-from gallaikit.oracle import is_realizable, n_good_multisets
+from gallaikit.oracle import exact_g, is_realizable, n_good_multisets
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_oracle.txt"
 
@@ -65,13 +67,31 @@ def golden_lines() -> list[str]:
     return lines
 
 
-def test_golden_oracle_tables():
-    want = [ln for ln in FIXTURE.read_text(encoding="utf-8").splitlines()
+def _fixture_lines() -> list[str]:
+    return [ln for ln in FIXTURE.read_text(encoding="utf-8").splitlines()
             if ln and not ln.startswith("#")]
+
+
+def test_golden_oracle_tables():
+    want = _fixture_lines()
     got = golden_lines()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_exact_g_statuses_match_golden():
+    # exact_g settles rows of targets with a cycle by the standard search;
+    # forest targets (p4, star3) must still get every row from is_realizable
+    want = [" ".join(ln.split()[:5]) for ln in _fixture_lines()]
+    got = []
+    for name, k, n_max in TABLES:
+        rep = exact_g(TARGETS[name], k, n_max)
+        assert not rep.partial
+        for n in sorted(rep.per_n):
+            got += [f"{name} k={k} n={n} e={','.join(map(str, row.e))} {row.status}"
+                    for row in rep.per_n[n]]
+    assert got == want
 
 
 if __name__ == "__main__":

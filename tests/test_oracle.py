@@ -209,3 +209,12 @@ class TestIsRealizableStandard:
             std = is_realizable_standard(seq)
             greedy = construct_greedy(n, seq).status
             assert std == (greedy == "certificate")
+
+    def test_agrees_with_greedy_on_every_multiset(self):
+        # splitting only the largest block loses no standard colouring
+        for k in range(1, 5):
+            for n in range(2, 9):
+                for e in n_good_multisets(n, k):
+                    seq = DistributionSequence(n, k, e)
+                    greedy = construct_greedy(n, seq).status
+                    assert is_realizable_standard(seq) == (greedy == "certificate"), e
