@@ -3,7 +3,11 @@ realizability tables, and the standard-colouring decision procedure.
 
 Realizability is one depth-first search over per-edge colour domains for
 every target; the target enters only through triangle propagation (K3) or
-one clash test on each new edge (any other H).
+one clash test on each new edge (any other H). It breaks two symmetries, both
+of which map rainbow-H-free colourings with the given counts onto each other:
+unused colours of equal budget are tried once, and a column of the matrix may
+not fall lexicographically below its left neighbour. Neither changes a
+verdict or the witness, the lexicographically least valid colouring.
 
 A table (`exact_g`) first asks a memoised standard-colouring search about
 each row when H contains a cycle: a standard colouring has no rainbow cycle,
@@ -132,13 +136,30 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
     Edges are assigned in lexicographic order, each from a domain of
     admissible colours. A branch is pruned when a colour's remaining budget
     exceeds the uncoloured edges that still admit it, or, for K3, when more
-    edges are forced to it than its budget allows; unused colours with equal
-    budgets are tried once. The target enters at one point: for K3, two
-    coloured edges of a triangle with distinct colours shrink the third
-    edge's domain to that pair; for any other H, a colour is refused when it
-    completes a rainbow copy of H through the new edge. A witness colouring
-    is returned when realizable; exhausting node_budget yields inconclusive,
-    never a definite no.
+    edges are forced to it than its budget allows. The target enters at one
+    point: for K3, two coloured edges of a triangle with distinct colours
+    shrink the third edge's domain to that pair; for any other H, a colour is
+    refused when it completes a rainbow copy of H through the new edge. A
+    witness colouring is returned when realizable; exhausting node_budget
+    yields inconclusive, never a definite no.
+
+    use_symmetry switches two symmetry rules on together, and skipped
+    colours are not counted as nodes. The colour rule tries unused colours
+    with equal budgets once. The vertex rule compares column v with column
+    v-1 over rows 1..v-2: while the two are equal on every row assigned so
+    far, edge (u, v) takes only colours >= M[u][v-1].
+
+    Neither rule changes the result. The search returns the lexicographically
+    least valid colouring C, if there is one, which both rules leave
+    reachable. Renaming colours of equal budget, in order of first use, gives
+    a valid colouring with the same counts that is no larger, so C obeys the
+    colour rule. Suppose C breaks the vertex rule: column v first differs
+    from column v-1 at row u, with C(u,v) < C(u,v-1). Swap vertices v-1 and
+    v. The result is valid, since relabelling vertices keeps a colouring
+    rainbow-H-free, and has the same counts. It agrees with C before edge
+    (u, v-1) and is smaller there, a contradiction. So the verdict and the
+    witness are the same with or without the rules; only the node count
+    differs.
     """
     if not is_n_good(seq):
         raise PreconditionViolation("sequence is not n-good")
@@ -161,6 +182,9 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
     budgets = list(seq.e)
     usage = [0] * (k + 1)
     M = [[0] * n for _ in range(n)]
+    # tied[v]: columns v-1 and v agree on the rows 1..v-2 assigned so far;
+    # while it holds, edge (u, v) takes no colour below M[u][v-1]
+    tied = [True] * (n + 1)
     nodes = 0
 
     def shrink(j: int, mask: int, trail: list[tuple[int, int]]) -> bool:
@@ -222,6 +246,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
                 need = c if need == 0 else -1
         if single:
             forced[dom.bit_length()] -= 1
+        floor = M[u - 1][v - 2] if use_symmetry and u < v - 1 and tied[v] else 0
         seen_unused: set[int] = set()
         choices = dom
         while choices:
@@ -235,6 +260,8 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
                 if b in seen_unused:
                     continue
                 seen_unused.add(b)
+            if c < floor:
+                continue
             nodes += 1
             if nodes > node_budget:
                 raise _OutOfBudget
@@ -244,6 +271,8 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
             M[v - 1][u - 1] = c
             budgets[c - 1] -= 1
             usage[c] += 1
+            if floor:
+                tied[v] = c == floor
             trail: list[tuple[int, int]] = []
             ok = True
             if triangle:
@@ -270,6 +299,8 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
             budgets[c - 1] += 1
             M[u - 1][v - 1] = 0
             M[v - 1][u - 1] = 0
+        if floor:
+            tied[v] = True
         if single:
             forced[dom.bit_length()] += 1
         pool = dom

@@ -8,11 +8,14 @@ exact pruning; other targets pin only what a search must return.
 `oracle.exact_g` must give every table the fixture's status column, whichever
 of its two searches decides a row.
 
-The fixture pins the oracle as it was when K3 had its own domain search and
-every other target a separate assignment loop. Do not regenerate it to make
-this test pass: a mismatch means a verdict, a witness or a node count
-changed. `python tests/test_golden_oracle.py` prints the lines for the
-checkout it runs in.
+The status and witness columns pin the oracle as it was at 8b4159d, when K3
+had its own domain search and every other target a separate assignment loop.
+The nodes column was regenerated, alone, at the commit after 20bf683, which
+added the adjacent-column vertex rule: every status and witness stayed, and
+no count rose. Do not regenerate the fixture to make this test pass: a
+mismatch means a verdict, a witness or a node count changed.
+`python tests/test_golden_oracle.py` prints the lines for the checkout it
+runs in.
 """
 from __future__ import annotations
 

@@ -71,14 +71,41 @@ class TestIsRealizable:
         res = is_realizable(seq, K3, node_budget=5)
         assert res.status == "inconclusive"
 
-    def test_symmetry_pruning_soundness(self, rng):
-        for _ in range(50):
-            n = rng.randint(3, 5)
-            k = rng.randint(1, 4)
-            seq = random_sequence(rng, n, k)
-            with_sym = is_realizable(seq, K3, use_symmetry=True).status
-            without = is_realizable(seq, K3, use_symmetry=False).status
-            assert with_sym == without
+    # (target, largest n) for k = 2, 3, 4; every n-good multiset up to that n
+    SYMMETRY_CASES = [(K3, 6), (TargetGraph.cycle(4), 6), (TargetGraph.complete(4), 6),
+                      (TargetGraph.path(4), 5), (TargetGraph.star(3), 5)]
+
+    def test_symmetry_pruning_soundness(self):
+        # both symmetry rules only cut branches that a colour or vertex
+        # relabelling maps onto an earlier one, so the first hit, the
+        # lex-least valid colouring, must be the same with and without them
+        unrealizable = 0
+        for H, n_max in self.SYMMETRY_CASES:
+            for k in (2, 3, 4):
+                for n in range(2, n_max + 1):
+                    for e in n_good_multisets(n, k):
+                        seq = DistributionSequence(n, k, e)
+                        pruned = is_realizable(seq, H, use_symmetry=True)
+                        full = is_realizable(seq, H, use_symmetry=False)
+                        assert pruned.status == full.status, (H.edges, e)
+                        if full.colouring is None:
+                            unrealizable += 1
+                            assert pruned.colouring is None
+                        else:
+                            assert (pruned.colouring.matrix == full.colouring.matrix).all(), \
+                                (H.edges, e)
+        assert unrealizable > 0
+
+    def test_gallai_but_not_standard(self):
+        # a Gallai colouring realises this sequence and no standard colouring
+        # does; the search needs the vertex rule to decide it within its
+        # default budget
+        seq = DistributionSequence.of(9, (17, 10, 3, 2, 2, 2))
+        res = is_realizable(seq, K3)
+        assert res.status == REALIZABLE
+        assert colour_counts(res.colouring) == list(seq.e)
+        assert find_rainbow_subgraph(res.colouring, K3).status == "none"
+        assert not is_realizable_standard(seq)
 
     def test_requires_n_good(self):
         with pytest.raises(PreconditionViolation):
