@@ -24,7 +24,6 @@ from .verifier import (
     Embedding,
     GallaiPartition,
     find_gallai_partition,
-    find_rainbow_cycle,
     find_rainbow_subgraph,
     find_rainbow_triangle,
     verify_certificate,
@@ -47,8 +46,8 @@ __all__ = [
     "construct", "construct_greedy", "construct_mindeg3", "construct_staged",
     "realize_certificate",
     "Embedding", "GallaiPartition",
-    "find_gallai_partition", "find_rainbow_cycle", "find_rainbow_subgraph",
-    "find_rainbow_triangle", "verify_certificate",
+    "find_gallai_partition", "find_rainbow_subgraph", "find_rainbow_triangle",
+    "verify_certificate",
     "InfeasibilityCertificate", "clash_bound_check", "peel_splitting_process",
     "sample_rainbow_km", "tree_forced_check", "tree_threshold",
     "triangle_hard_sequence", "triangle_infeasibility_check",

@@ -332,16 +332,10 @@ class PeelTrace:
         return x <= self.stop or not self.steps
 
 
-def peel_splitting_process(col: Colouring, stop: int,
-                           freq_cap: int | None = None) -> PeelTrace:
+def peel_splitting_process(col: Colouring, stop: int) -> PeelTrace:
     """Repeatedly find a Gallai partition of the current block, peel its
     smallest part, and record sizes, base colours, and base-colour counts,
-    until at most `stop` vertices remain.
-
-    When freq_cap is given and the base colours' total frequency inside the
-    current block is at most freq_cap, the peel size obeys t <= 2*freq_cap/x,
-    which is asserted on the trace.
-    """
+    until at most `stop` vertices remain."""
     if stop < 1:
         raise PreconditionViolation("stop must be >= 1")
     tri = find_rainbow_triangle(col)
@@ -363,11 +357,7 @@ def peel_splitting_process(col: Colouring, stop: int,
         base = tuple(sorted(p.base_colours))
         counts = colour_counts(sub)
         base_freq = sum(counts[c - 1] for c in base)
-        step = PeelStep(x, t, x - t, base, t * (x - t), base_freq)
-        if freq_cap is not None and base_freq <= freq_cap:
-            assert Fraction(t) <= Fraction(2 * freq_cap, x), \
-                f"peel size bound violated: t={t} > 2*{freq_cap}/{x}"
-        trace.steps.append(step)
+        trace.steps.append(PeelStep(x, t, x - t, base, t * (x - t), base_freq))
         peeled = {active[v - 1] for v in smallest}
         active = [v for v in active if v not in peeled]
     return trace

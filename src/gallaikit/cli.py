@@ -39,9 +39,7 @@ from .errors import (
     StructuralMismatch,
 )
 from .verifier import (
-    find_gallai_partition,
     find_rainbow_subgraph,
-    find_rainbow_triangle,
     partition_lines,
     proves_rainbow_free,
     search_gallai_partition,
@@ -195,10 +193,12 @@ def _cmd_verify(args) -> int:
     - a certificate that replays into the colouring proves it has no rainbow
       cycle, which settles every target that is not a forest;
     - the two-colour peel settles targets of degeneracy >= 3;
-    - otherwise a search runs: one rainbow-triangle scan for K3, else the
-      backtracking search under --budget, then the K_m sampler when that
-      runs out.
-    A K3 verify at 2 <= n <= 64 also prints a Gallai partition.
+    - one rainbow-triangle scan settles every target that is not a forest
+      when it finds no rainbow triangle. For K3 the triangle it finds is the
+      witness.
+    Otherwise the backtracking search runs under --budget, then the K_m
+    sampler when that runs out. A K3 verify at 2 <= n <= 64 that ends in a
+    proof also prints a Gallai partition.
     """
     col = read_colouring(args.colouring)
     counts = colour_counts(col)
@@ -206,8 +206,12 @@ def _cmd_verify(args) -> int:
     inconclusive: list[str] = []
 
     seq = read_sequence(args.seq) if args.seq else None
-    if seq is not None and counts != list(seq.e):
-        failures.append(f"counts {counts} != sequence {list(seq.e)}")
+    if seq is not None:
+        for what, mine, its in (("n", col.n, seq.n), ("k", col.k, seq.k)):
+            if mine != its:
+                raise _UsageError(f"{what} mismatch: colouring={mine} seq={its}")
+        if counts != list(seq.e):
+            failures.append(f"counts {counts} != sequence {list(seq.e)}")
 
     cert_ok = False
     if args.cert:
@@ -224,19 +228,15 @@ def _cmd_verify(args) -> int:
 
     if args.target:
         H = _load_target(args.target)
-        proof = proves_rainbow_free(col, H, cert_ok)
+        proof, triangle = proves_rainbow_free(col, H, cert_ok)
         if H.m == 3 and len(H.edges) == 3:
-            w = None
-            if 2 <= col.n <= 64:
-                out = find_gallai_partition(col) if proof is None else search_gallai_partition(col)
-                w = out.rainbow_triangle
+            if triangle is not None:
+                failures.append(triangle.witness_line("TRIANGLE"))
+            elif 2 <= col.n <= 64:
+                out = search_gallai_partition(col)
                 if out.partition is not None:
                     for line in partition_lines(out.partition):
                         print(line)
-            elif proof is None:
-                w = find_rainbow_triangle(col)
-            if w is not None:
-                failures.append(w.witness_line("TRIANGLE"))
         elif proof is None:
             hit = find_rainbow_subgraph(col, H, node_budget=args.budget)
             if hit.found:

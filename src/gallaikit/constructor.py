@@ -554,33 +554,20 @@ def construct_staged(n: int, seq: DistributionSequence,
 # ---------------------------------------------------------------------------
 
 def greedy_descent(state: SplitState) -> bool:
-    """Straight-line pass: repeatedly steps on the largest block using the
-    smallest sufficient budget (best fit), smallest step size first. Never
-    backtracks; True when the state is fully coloured."""
+    """Straight-line pass: peel one vertex off the largest block s in the
+    colour of the smallest budget that pays s-1 (best fit, ties to the lowest
+    colour). A larger step t costs t(s-t) >= s-1, so when no budget pays s-1
+    no step fits. Never backtracks; True when the state is fully coloured."""
     budgets = state.budgets
-    k = state.k
     while True:
         big = state.largest_block()
         if big is None:
             return True
-        lo, hi = big
-        size = hi - lo + 1
-        placed = False
-        for t in range(1, size // 2 + 1):
-            need = t * (size - t)
-            best = 0
-            best_b = -1
-            for j in range(k):
-                b = budgets[j]
-                if b >= need and (best_b < 0 or b < best_b):
-                    best = j + 1
-                    best_b = b
-            if best:
-                state.apply_step(lo, t, best)
-                placed = True
-                break
-        if not placed:
+        need = big[1] - big[0]
+        fits = [b for b in budgets if b >= need]
+        if not fits:
             return False
+        state.apply_step(big[0], 1, budgets.index(min(fits)) + 1)
 
 
 def max_split_descent(state: SplitState) -> bool:

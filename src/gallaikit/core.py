@@ -68,22 +68,6 @@ class TargetGraph:
             adj[v].add(u)
         return adj
 
-    def is_connected(self) -> bool:
-        if self.m == 1:
-            return True
-        adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.m
-
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.m - 1
-
 
 # A standard colouring has no rainbow cycle, so it is rainbow-H-free for every
 # H of this degeneracy or more: exactly the targets that contain a cycle.

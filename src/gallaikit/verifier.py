@@ -2,8 +2,8 @@
 
 All searches are deterministic and return the lexicographically least witness
 under vertex order, so test fixtures are reproducible. One backtracking
-search, find_rainbow_subgraph, serves every target, forests included; K3 and
-cycles also have their own scans.
+search, find_rainbow_subgraph, serves every target, forests included; K3
+also has its own scan.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
 from .core import (
-    Colouring, DistributionSequence, TargetGraph, _row_blocks, colour_counts, degeneracy,
+    STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, _row_blocks,
+    colour_counts, degeneracy,
 )
 from .errors import PreconditionViolation, StructuralMismatch
 
@@ -156,58 +157,6 @@ def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
     return SubgraphSearch(FOUND, emb, nodes)
 
 
-def find_rainbow_cycle(col: Colouring, max_len: int) -> Embedding | None:
-    """Exhaustive search for a rainbow cycle of length 3..max_len.
-
-    Backtracks over vertex sequences with colour-distinctness pruning; meant
-    for small n (the certificate replay is the scalable proof of
-    cycle-freeness at real sizes). The witness starts at its smallest vertex
-    and takes the lexicographically smaller direction.
-    """
-    n = col.n
-    if max_len < 3:
-        raise PreconditionViolation("max_len must be at least 3")
-    max_len = min(max_len, n)
-    M = col.matrix
-    path = [0]
-    on_path = [False] * (n + 1)
-    used_c: set[int] = set()
-
-    def extend(start: int) -> tuple[int, ...] | None:
-        v = path[-1]
-        if len(path) >= 3:
-            c = int(M[v - 1, start - 1])
-            if c not in used_c and path[1] < path[-1]:
-                return tuple(path)
-        if len(path) == max_len:
-            return None
-        for u in range(start + 1, n + 1):
-            if on_path[u]:
-                continue
-            c = int(M[v - 1, u - 1])
-            if c in used_c:
-                continue
-            path.append(u)
-            on_path[u] = True
-            used_c.add(c)
-            hit = extend(start)
-            if hit is not None:
-                return hit
-            used_c.discard(c)
-            on_path[u] = False
-            path.pop()
-        return None
-
-    for start in range(1, n - 1):
-        path[0] = start
-        on_path[start] = True
-        hit = extend(start)
-        on_path[start] = False
-        if hit is not None:
-            return Embedding(hit)
-    return None
-
-
 def peels_two_colours(col: Colouring) -> bool:
     """True when every vertex can be removed, one at a time, each seeing at
     most two colours on its edges into the vertices still present.
@@ -249,9 +198,11 @@ def peels_two_colours(col: Colouring) -> bool:
     return left == 0
 
 
-def proves_rainbow_free(col: Colouring, H: TargetGraph, cert_ok: bool) -> str | None:
-    """Name the proof that col has no rainbow copy of H, or None when neither
-    applies and only a search can tell.
+def proves_rainbow_free(col: Colouring, H: TargetGraph,
+                        cert_ok: bool) -> tuple[str | None, Embedding | None]:
+    """Name the first proof that col has no rainbow copy of H, or None when
+    none applies and only a search can tell; the second item is the rainbow
+    triangle the "gallai" scan found, so a caller never scans twice.
 
     "certificate": cert_ok says a split certificate replayed into col, so col
     is a standard colouring. A cycle crosses the first split that separates
@@ -259,13 +210,21 @@ def proves_rainbow_free(col: Colouring, H: TargetGraph, cert_ok: bool) -> str | 
     no rainbow cycle; this settles every H that is not a forest.
     "peel": H has degeneracy >= 3, so it contains a subgraph of minimum
     degree >= 3, and peels_two_colours(col) rules out a rainbow copy of one.
+    "gallai": H is not a forest and find_rainbow_triangle finds no rainbow
+    triangle. Then col has no rainbow cycle: a chord of a shortest rainbow
+    cycle of length >= 4 splits it into two arcs, each closed by the chord
+    into a shorter cycle. The chord's colour is on at most one arc, so the
+    other arc and the chord form a shorter rainbow cycle, a contradiction.
     """
     d = degeneracy(H)
-    if cert_ok and d >= 2:
-        return "certificate"
+    if d < STANDARD_DEGENERACY:
+        return None, None
+    if cert_ok:
+        return "certificate", None
     if d >= 3 and peels_two_colours(col):
-        return "peel"
-    return None
+        return "peel", None
+    tri = find_rainbow_triangle(col)
+    return ("gallai", None) if tri is None else (None, tri)
 
 
 # ---------------------------------------------------------------------------

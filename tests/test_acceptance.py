@@ -40,7 +40,6 @@ from gallaikit.bounds import (
 from gallaikit.oracle import exact_g, is_realizable
 from gallaikit.verifier import (
     find_gallai_partition,
-    find_rainbow_cycle,
     find_rainbow_subgraph,
     find_rainbow_triangle,
     verify_certificate,
@@ -124,12 +123,16 @@ def realized_corpus():
 
 def test_criterion_2_rainbow_cycle_freeness(realized_corpus):
     """Every certificate-realized colouring with n <= 10 (500 instances) is
-    exhaustively rainbow-cycle-free. Zero tolerance."""
+    exhaustively rainbow-cycle-free: no rainbow L-cycle for any L from 3 to
+    n, skipping the L above the number of colours used, since a rainbow
+    L-cycle needs L colours. Zero tolerance."""
     small, _ = realized_corpus
     assert len(small) >= 500
     for seq, cert, col in small:
-        assert find_rainbow_cycle(col, max(3, seq.n)) is None, \
-            f"criterion 2: rainbow cycle in realization of {seq.e}"
+        used = sum(1 for c in colour_counts(col) if c)
+        for L in range(3, min(seq.n, used) + 1):
+            assert find_rainbow_subgraph(col, TargetGraph.cycle(L)).exhausted, \
+                f"criterion 2: rainbow {L}-cycle in realization of {seq.e}"
     report(2, f"{len(small)} realized colourings, all exhaustively cycle-free")
 
 

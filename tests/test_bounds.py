@@ -274,11 +274,15 @@ class TestPeelSplitting:
             done += 1
 
     def test_peel_bound_under_frequency_cap(self):
-        # asserts t <= 2*cap/x whenever the base colours are rare enough
+        # t <= 2*cap/x whenever the base colours are rare enough
         col = Colouring.from_edge_colours(
             4, 3, {(1, 2): 2, (3, 4): 3, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1})
-        trace = peel_splitting_process(col, 1, freq_cap=5)
+        cap = 5
+        trace = peel_splitting_process(col, 1)
         assert trace.sizes_consistent()
+        capped = [s for s in trace.steps if s.base_freq <= cap]
+        assert capped
+        assert all(s.t * s.x_before <= 2 * cap for s in capped)
 
     def test_stop_threshold_respected(self):
         trace = peel_splitting_process(Colouring.monochromatic(8), 4)

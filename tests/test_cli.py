@@ -134,6 +134,21 @@ class TestVerifyCommand:
         assert "counts" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("text, what", [("6 2\n6 4\n", "n"), ("5 3\n5 5 0\n", "k")])
+    def test_sequence_for_another_size_is_refused(self, text, what, tmp_path, capsys):
+        # the colouring is for n = 5, k = 2; "6 2 / 6 4" is not even 6-good
+        col = tmp_path / "out.col"
+        seqf = tmp_path / "seq.txt"
+        assert run("construct", "--target", "builtin:K3", "--n", "5",
+                   "--seq", "balanced", "--k", "2", "--out", col) == 0
+        capsys.readouterr()
+        seqf.write_text(text)
+        assert run("verify", "--colouring", col, "--seq", seqf) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {what} mismatch: ")
+
+
 class TestCertifyCommand:
     def test_triangle_k1000(self, tmp_path, capsys):
         out = tmp_path / "hard.cert"

@@ -9,9 +9,11 @@ not depend on where the test runs.
 The fixture pins the behaviour of the command line as it was before the
 step-replay kernel, the construct helpers and the scan-free partition search
 were introduced; its forest-target lines, the behaviour as it was before
-construct became one guarded chain. Do not regenerate it to make this test
-pass: a mismatch means an output changed. `python tests/test_golden_cli.py`
-prints the lines for the checkout it runs in.
+construct became one guarded chain; its last four lines, the behaviour after
+the triangle scan came to settle cyclic targets in verify. Do not
+regenerate it to make this test pass: a mismatch means an output changed.
+`python tests/test_golden_cli.py` prints the lines for the checkout it runs
+in.
 """
 from __future__ import annotations
 
@@ -106,6 +108,15 @@ CORPUS: list[tuple[str, list[str]]] = [
                                       "--out", "star3-10.col", "--cert", "star3-10.cert"]),
     ("construct-p4-n8-searched", ["construct", "--target", "p4.tgt", "--n", "8",
                                   "--seq", "27 1", "--out", "p4-8.col"]),
+    # Cyclic targets without a certificate: one triangle scan settles them.
+    ("verify-c4-n10-no-cert", ["verify", "--colouring", "c4-n10-rand.col",
+                               "--target", "builtin:C4"]),
+    ("verify-c4-on-k3-n120-no-cert", ["verify", "--colouring", "k3-n120.col",
+                                      "--target", "builtin:C4"]),
+    ("verify-k4-on-k3-n120-no-cert", ["verify", "--colouring", "k3-n120.col",
+                                      "--target", "builtin:K4"]),
+    ("verify-k3-n26-seq-for-n10", ["verify", "--colouring", "k3-n26-staged.col",
+                                   "--seq", "b10k3.seq"]),
 ]
 
 # Target files the forest calls read, written before the corpus runs.

@@ -13,6 +13,7 @@ from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    read_colouring,
     write_colouring,
     write_sequence,
 )
@@ -26,12 +27,11 @@ from gallaikit.constructor import (
     realize_certificate,
     write_certificate,
 )
-from gallaikit.errors import PreconditionViolation, StructuralMismatch
+from gallaikit.errors import StructuralMismatch
 from gallaikit.verifier import (
     Embedding,
     embedding_is_rainbow,
     find_gallai_partition,
-    find_rainbow_cycle,
     find_rainbow_subgraph,
     find_rainbow_triangle,
     colour_degrees,
@@ -153,36 +153,6 @@ class TestRainbowSubgraph:
         for k in (1, 2, 5):
             col = random_colouring(rng, 4, k)
             assert find_rainbow_subgraph(col, TargetGraph.complete(2)).found
-
-
-class TestRainbowCycle:
-    def test_rainbow_triangle_cycle(self):
-        col = Colouring.from_edge_colours(3, 3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-        got = find_rainbow_cycle(col, 3)
-        assert got is not None and len(got.vertices) == 3
-
-    def test_two_colours_never_rainbow(self, rng):
-        for _ in range(10):
-            col = random_colouring(rng, 5, 2)
-            assert find_rainbow_cycle(col, 5) is None
-
-    def test_realized_certificate_is_cycle_free(self, rng):
-        seq = DistributionSequence.of(8, (10, 9, 9))
-        res = construct_greedy(8, seq)
-        assert res.status == "certificate"
-        col = realize_certificate(res.certificate)
-        assert find_rainbow_cycle(col, 8) is None
-
-    def test_finds_longer_cycles(self):
-        # C4 rainbow on 4 vertices, but every triangle repeats a colour
-        col = Colouring.from_edge_colours(
-            4, 4, {(1, 2): 1, (2, 3): 2, (3, 4): 3, (1, 4): 4, (1, 3): 1, (2, 4): 2})
-        got = find_rainbow_cycle(col, 4)
-        assert got is not None and len(got.vertices) == 4
-
-    def test_max_len_too_small(self):
-        with pytest.raises(PreconditionViolation):
-            find_rainbow_cycle(Colouring.monochromatic(4), 2)
 
 
 class TestColourDegree:
@@ -423,6 +393,21 @@ class TestOneTriangleScan:
         assert scans == [n]
 
     @pytest.mark.parametrize("n", [8, 70])
+    def test_verify_c4_scans_once(self, n, scans, tmp_path, capsys):
+        col_path = tmp_path / "c4.col"
+        assert main(["construct", "--target", "builtin:C4", "--n", str(n),
+                     "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 0
+        assert scans == [n]
+
+    def test_verify_c4_searches_after_the_scan(self, scans, tmp_path, capsys):
+        col_path = tmp_path / "distinct.col"
+        write_colouring(all_distinct(8), str(col_path))
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 2
+        assert capsys.readouterr().out == "RAINBOW 1 2 3 4\n"
+        assert scans == [8]
+
+    @pytest.mark.parametrize("n", [8, 70])
     def test_verify_k3_with_certificate_scans_none(self, n, scans, tmp_path, capsys):
         col_path, cert_path = tmp_path / "k3.col", tmp_path / "k3.cert"
         assert main(["construct", "--target", "builtin:K3", "--n", str(n), "--seq", "balanced",
@@ -461,6 +446,32 @@ class TestOneTriangleScan:
 K4, K5 = TargetGraph.complete(4), TargetGraph.complete(5)
 
 
+def _random_gallai(rng: random.Random, n: int, k: int) -> Colouring:
+    """A Gallai colouring by substitution: split the vertices into two or
+    more parts, colour every part pair with one of two colours, recurse into
+    the parts. A triangle across three parts sees at most two colours; one
+    with two vertices in a part sees one colour on its two edges out."""
+    m = np.zeros((n, n), dtype=np.int32)
+
+    def fill(vs: list[int]) -> None:
+        if len(vs) < 2:
+            return
+        count = rng.randint(2, len(vs))
+        label = [0, 1] + [rng.randrange(count) for _ in vs[2:]]
+        base = rng.sample(range(1, k + 1), min(2, k))
+        parts = [[v for v, p in zip(vs, label) if p == q] for q in sorted(set(label))]
+        for a, b in combinations(range(len(parts)), 2):
+            c = rng.choice(base)
+            for u in parts[a]:
+                m[u, parts[b]] = c
+                m[parts[b], u] = c
+        for part in parts:
+            fill(part)
+
+    fill(list(range(n)))
+    return Colouring(n, k, m)
+
+
 def _plant_rainbow(col: Colouring, vertices: tuple[int, ...]) -> Colouring:
     """col with the edges among vertices recoloured 1, 2, 3, ... in lex order."""
     m = col.matrix.copy()
@@ -470,22 +481,56 @@ def _plant_rainbow(col: Colouring, vertices: tuple[int, ...]) -> Colouring:
 
 
 class TestRainbowFreeProofs:
-    """verify settles a target from a replayed certificate or the two-colour
-    peel when one applies, and searches only when neither does."""
+    """verify settles a target from a replayed certificate, the two-colour
+    peel or a triangle scan that finds no rainbow triangle, and searches only
+    when none of them does."""
 
     def test_certificate_settles_cyclic_targets_only(self):
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
         for H in (TargetGraph.complete(3), TargetGraph.cycle(4), K4):
-            assert proves_rainbow_free(col, H, cert_ok=True) == "certificate"
-        assert proves_rainbow_free(col, TargetGraph.path(4), cert_ok=True) is None
-        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) is None
+            assert proves_rainbow_free(col, H, cert_ok=True) == ("certificate", None)
+        assert proves_rainbow_free(col, TargetGraph.path(4), cert_ok=True) == (None, None)
+        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) == ("gallai", None)
 
     def test_peel_settles_degeneracy_three(self):
         col = construct_mindeg3(20, DistributionSequence.of(20, (60, 60, 70)))
         assert peels_two_colours(col)
-        assert proves_rainbow_free(col, K4, cert_ok=False) == "peel"
-        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) is None
+        assert proves_rainbow_free(col, K4, cert_ok=False) == ("peel", None)
+        tri = find_rainbow_triangle(col)
+        assert tri is not None
+        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) == (None, tri)
+
+    def test_rainbow_cycle_implies_rainbow_triangle(self):
+        """The chord argument behind the "gallai" proof, checked on 2000
+        seeded colourings with n <= 8: random ones (mostly not Gallai),
+        random Gallai substitutions, and substitutions with one edge
+        recoloured. An exhaustive search over every cycle length finds a
+        rainbow cycle exactly when the triangle scan finds a triangle."""
+        rng = random.Random(15)
+        gallai = cyclic = 0
+        for i in range(2000):
+            n = rng.randint(3, 8)
+            if i % 3 == 0:
+                col = random_colouring(rng, n, rng.randint(2, 6))
+            else:
+                col = _random_gallai(rng, n, rng.randint(2, 8))
+                if i % 3 == 2:
+                    u, v = rng.sample(range(n), 2)
+                    m = col.matrix.copy()
+                    m[u, v] = m[v, u] = rng.randint(1, col.k)
+                    col = Colouring(n, col.k, m)
+            has_cycle = False
+            for L in range(3, n + 1):
+                hit = find_rainbow_subgraph(col, TargetGraph.cycle(L), node_budget=10**7)
+                assert hit.status != "inconclusive"
+                if hit.found:
+                    has_cycle = True
+                    break
+            assert has_cycle == (find_rainbow_triangle(col) is not None)
+            gallai += not has_cycle
+            cyclic += has_cycle
+        assert gallai >= 1000 and cyclic >= 600
 
     def test_mindeg3_output_verifies_for_k4(self, tmp_path, capsys):
         col_path = tmp_path / "k4.col"
@@ -493,6 +538,17 @@ class TestRainbowFreeProofs:
                      "--k", "20", "--out", str(col_path)]) == 0
         capsys.readouterr()
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize("target", ["builtin:C4", "builtin:K4"])
+    def test_standard_colouring_verifies_without_certificate(self, target, tmp_path, capsys):
+        # neither the peel nor a 2*10^6-node search settles these; the scan does
+        col_path = tmp_path / "c4.col"
+        assert main(["construct", "--target", "builtin:C4", "--n", "300", "--seq", "balanced",
+                     "--k", "20", "--out", str(col_path)]) == 0
+        capsys.readouterr()
+        assert not peels_two_colours(read_colouring(str(col_path)))
+        assert main(["verify", "--colouring", str(col_path), "--target", target]) == 0
         assert capsys.readouterr().out == "OK\n"
 
     def test_planted_rainbow_k4_is_found(self, tmp_path, capsys):
@@ -532,7 +588,7 @@ class TestRainbowFreeProofs:
                 col = construct_mindeg3(n, random_sequence(rng, n, rng.randint(1, n // 2)))
             for H in (K4, K5):
                 hit = find_rainbow_subgraph(col, H, node_budget=10**7)
-                if proves_rainbow_free(col, H, cert_ok=False) == "peel":
+                if proves_rainbow_free(col, H, cert_ok=False)[0] == "peel":
                     applied += 1
                     assert hit.exhausted
                 else:
