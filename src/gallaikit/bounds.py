@@ -53,7 +53,13 @@ def _log_upper(num: int, den: int) -> Fraction:
 @dataclass
 class InfeasibilityCertificate:
     """Machine-checkable arithmetic witness; verify() re-evaluates the stored
-    inequality from the stored parameters alone."""
+    inequality from the stored parameters alone.
+
+    verify() accepts a TRIANGLEHARD line at any n whose margin is positive
+    and whose side conditions hold, not only at the n that alpha = 1/10 gives:
+    at k = 80 it accepts n = 60..115, while alpha gives n = 34. The paper's
+    lemma is known only at alpha's n; whether the wider lines are sound is
+    open, and the toolkit itself writes them only at alpha's n."""
 
     kind: str
     k: int
@@ -217,7 +223,10 @@ def triangle_infeasibility_check(k: int) -> InfeasibilityCertificate | None:
     exact arithmetic (see _triangle_margin).
 
     A certificate asserts no Gallai colouring of K_n realises the hard
-    sequence, hence forcing a rainbow triangle.
+    sequence, hence forcing a rainbow triangle. It is made only at the n that
+    alpha = 1/10 gives, where the paper's lemma applies; the checker
+    (InfeasibilityCertificate.verify) is wider and accepts any n with a
+    positive margin.
     """
     _, p = triangle_hard_sequence(k)
     margin = _triangle_margin(k, p.n, p.a, p.b)

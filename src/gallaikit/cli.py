@@ -334,8 +334,8 @@ def _cmd_oracle(args) -> int:
                 agree = "yes"
                 if row.status == oracle.REALIZABLE and clash == "forced":
                     agree = "NO(clash)"
-                # UNREALIZABLE means the oracle's own standard search and then its
-                # exhaustive search both failed, so a certificate contradicts both
+                # UNREALIZABLE comes only from the exhaustive search, which is
+                # independent of the constructors, so a certificate contradicts it
                 if greedy == "certificate" and row.status == oracle.UNREALIZABLE:
                     agree = "NO(greedy)"
                 if agree != "yes":

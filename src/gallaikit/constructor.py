@@ -1,5 +1,7 @@
 """Standard-colouring engine: split states, step primitives, and the staged,
 greedy and min-degree-3 constructors, all emitting replayable certificates.
+The greedy constructor's last resort, standard_search, is also the oracle's
+standard-colouring decision procedure.
 
 A standard colouring step splits an uncoloured block of size m into sizes t
 and m-t and paints all t(m-t) crossing edges with one colour. Blocks are
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -604,84 +607,94 @@ class GreedyResult:
 
 def construct_greedy(n: int, seq: DistributionSequence,
                      node_budget: int = 500_000) -> GreedyResult:
-    """Two straight-line descents, then a depth-first search.
+    """Two straight-line descents, then the standard search.
 
     The best-fit descent (greedy_descent) runs first, then the maximal-size
     split (max_split_descent) on a fresh state; the first to colour every
     block gives the certificate, with 0 search nodes. Only when both stall
-    does greedy_search run.
+    does standard_search run, with a fresh memo and node_budget.
     """
     _require_good(n, seq)
     for descent in (greedy_descent, max_split_descent):
         state = SplitState.initial(n, seq.e)
         if descent(state):
             return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}))
-    return greedy_search(n, seq, node_budget)
+    memo: dict = {}
+    status, nodes = standard_search(n, seq.e, memo, node_budget)
+    cert = standard_certificate(n, seq.e, memo) if status == "certificate" else None
+    return GreedyResult(status, cert, nodes)
 
 
-def greedy_search(n: int, seq: DistributionSequence,
-                  node_budget: int = 500_000) -> GreedyResult:
-    """Depth-first search over standard colouring steps.
+def _state_key(sizes, budgets) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted block sizes >= 2, sorted nonzero budgets): a state up to the
+    order of its blocks and of its colours."""
+    return tuple(sorted(s for s in sizes if s >= 2)), tuple(sorted(b for b in budgets if b))
 
-    The search backtracks over (t, colour) moves on the largest block,
-    colours in decreasing budget order, memoising dead states on the (block
-    sizes, budgets) multiset pair. Instances with n <= 12 are always
-    exhausted, so "infeasible" is a proof there; larger instances give up
-    past node_budget.
+
+def _moves(sizes: tuple[int, ...], budgets: tuple[int, ...]):
+    """The steps on the largest block of a state key, in search order: t
+    ascending, then budgets ascending, each equal budget once (equal-budget
+    colours are interchangeable). Yields ((t, budget), child key)."""
+    size = sizes[-1]
+    for t in range(1, size // 2 + 1):
+        need = t * (size - t)
+        if budgets[-1] < need:
+            return  # need grows with t up to size/2: no later t fits either
+        child_sizes = tuple(sorted(sizes[:-1] + tuple(p for p in (size - t, t) if p >= 2)))
+        prev = 0
+        for i in range(bisect_left(budgets, need), len(budgets)):
+            b = budgets[i]
+            if b != prev:
+                prev = b
+                left = (b - need,) if b > need else ()
+                yield (t, b), (child_sizes, tuple(sorted(budgets[:i] + budgets[i + 1:] + left)))
+
+
+def standard_search(n: int, e, memo: dict, node_budget: int | None = None) -> tuple[str, int]:
+    """Does some sequence of standard colouring steps on K_n spend exactly
+    the budgets e? Returns (status, nodes), status as in GreedyResult; the
+    search is exhaustive whenever it ends within node_budget.
+
+    Only the largest block is split: steps on different blocks commute, since
+    budgets only go down, so every block left to split can be split first.
+    The first dive is greedy_descent's best fit. memo maps each expanded
+    state, (sorted block sizes, sorted nonzero budgets), to the (t, budget)
+    it took towards a full colouring, or to None when no step leads to one;
+    it may be shared by many calls, and standard_certificate reads a found
+    colouring off it. Each memo miss is one node.
     """
-    _require_good(n, seq)
-    state = SplitState.initial(n, seq.e)
-    budgets = state.budgets
-    dead: set[tuple] = set()
-    exhaustive = n <= 12
+    # One [key, untried moves, move taken] frame per state being expanded.
+    # An explicit stack, not recursion: a search can be n steps deep.
+    stack: list[list] = []
     nodes = 0
-
-    def state_key() -> tuple:
-        sizes = tuple(sorted(hi - lo + 1 for lo, hi in state.blocks.items()))
-        return sizes, tuple(sorted(budgets))
-
-    def moves(lo: int, hi: int):
-        """The steps on block [lo..hi], in search order; each is generated
-        after the one before it was undone."""
-        size = hi - lo + 1
-        # undo_last_step restores the budgets before the next t, so one order serves all t
-        order = sorted(range(1, state.k + 1), key=lambda j: (-budgets[j - 1], j))
-        for t in range(1, size // 2 + 1):
-            need = t * (size - t)
-            if budgets[order[0] - 1] < need:
-                return  # need grows with t up to size/2: no later t fits either
-            seen_budgets: set[int] = set()
-            for j in order:
-                b = budgets[j - 1]
-                if b < need:
-                    break  # sorted descending: the rest are smaller
-                if b in seen_budgets:
-                    continue  # equal-budget colours are interchangeable here
-                seen_budgets.add(b)
-                yield lo, t, j
-
-    # One (state key, untried steps) level per applied step, plus the root.
-    # An explicit stack, not recursion: CPython frees and reallocates a frame
-    # chunk each time a recursion this deep crosses a chunk boundary.
-    stack: list[tuple] = []
+    key = _state_key((n,), e)
     while True:
-        big = state.largest_block()
-        if big is None:
-            return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}), nodes)
-        key = state_key()
-        if key in dead:
-            state.undo_last_step()
-        else:
-            stack.append((key, moves(*big)))
-        while (step := next(stack[-1][1], None)) is None:
-            dead.add(stack.pop()[0])
-            if not stack:
-                return GreedyResult("infeasible", nodes=nodes)
-            state.undo_last_step()
-        nodes += 1
-        if not exhaustive and nodes > node_budget:
-            return GreedyResult("giveup", nodes=nodes)
-        state.apply_step(*step)
+        if key[0] and key not in memo:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return "giveup", nodes
+            stack.append([key, _moves(*key), None])
+        elif not key[0] or memo[key] is not None:
+            for frame in stack:
+                memo[frame[0]] = frame[2]
+            return "certificate", nodes
+        while stack and (move := next(stack[-1][1], None)) is None:
+            memo[stack.pop()[0]] = None
+        if not stack:
+            return "infeasible", nodes
+        stack[-1][2], key = move
+
+
+def standard_certificate(n: int, e, memo: dict) -> SplitCertificate:
+    """The colouring that standard_search found for (n, e), read off its
+    memo: each step splits the largest block in the lowest colour holding
+    the memoised budget."""
+    state = SplitState.initial(n, e)
+    while (big := state.largest_block()) is not None:
+        t, b = memo[_state_key((hi - lo + 1 for lo, hi in state.blocks.items()),
+                                state.budgets)]
+        state.apply_step(big[0], t, state.budgets.index(b) + 1)
+    return state.to_certificate({"strategy": "greedy"})
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ unused colours of equal budget are tried once, and a column of the matrix may
 not fall lexicographically below its left neighbour. Neither changes a
 verdict or the witness, the lexicographically least valid colouring.
 
-A table (`exact_g`) first asks a memoised standard-colouring search about
-each row when H contains a cycle: a standard colouring has no rainbow cycle,
-so a row it realises is realizable. The exhaustive search decides the other
-rows, those with no standard colouring and every row of a forest target, and
-is the only source of a definite no.
+A table (`exact_g`) first asks the constructors' standard search
+(`constructor.standard_search`, one memo per table) about each row when H
+contains a cycle: a standard colouring has no rainbow cycle, so a row it
+realises is realizable. The exhaustive search decides the other rows, those
+with no standard colouring and every row of a forest target, and is the only
+source of a definite no.
 
-These searches are deliberately independent of the constructors they
-cross-check; "inconclusive" is a first-class result and is never converted
+Only `is_realizable` is deliberately independent of the constructors it
+cross-checks; `is_realizable_standard` is the constructors' own search run
+to exhaustion. "inconclusive" is a first-class result and is never converted
 to a definite no.
 """
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good,
     lex_colouring,
 )
+from .constructor import standard_search
 from .errors import PreconditionViolation
 
 REALIZABLE = "realizable"
@@ -396,7 +399,7 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     if n_max < 2:
         raise PreconditionViolation(f"need n_max >= 2, got n_max={n_max}")
     report = ExactGReport(H, k, n_max)
-    standard, memo = _standard_search()
+    memo: dict = {}
     cyclic = degeneracy(H) >= STANDARD_DEGENERACY
     spent = 0
     for n in range(2, n_max + 1):
@@ -407,10 +410,9 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
                 report.partial = True
                 continue
             if cyclic:
-                before = len(memo)
-                hit = standard(n, e)
-                spent += len(memo) - before
-                if hit:
+                status, nodes = standard_search(n, e, memo)
+                spent += nodes
+                if status == "certificate":
                     rows.append(SequenceVerdict(e, REALIZABLE))
                     continue
             res = is_realizable(DistributionSequence(n, k, e), H,
@@ -423,60 +425,10 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     return report
 
 
-# ---------------------------------------------------------------------------
-# Standard-colouring realizability
-# ---------------------------------------------------------------------------
-
-def _standard_search():
-    """A fresh memoised search for standard colourings.
-
-    Returns realizable(n, e), true iff some sequence of standard colouring
-    steps on K_n spends exactly the budgets e, and its memo over (sorted
-    block sizes, sorted nonzero budgets); each memo entry is one state the
-    search expanded. Only the largest block is split: steps on different
-    blocks commute, since budgets only go down, so every block left to split
-    can be split first. Every step size and budget value is tried.
-    """
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-
-    def solve(sizes: tuple[int, ...], budgets: tuple[int, ...]) -> bool:
-        if not sizes:
-            return True
-        key = (sizes, budgets)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        size = sizes[-1]
-        out = False
-        for t in range(1, size // 2 + 1):
-            need = t * (size - t)
-            new_sizes = tuple(sorted(sizes[:-1] + tuple(p for p in (size - t, t) if p >= 2)))
-            for bi, b in enumerate(budgets):
-                if b < need or (bi > 0 and budgets[bi - 1] == b):
-                    continue
-                left = (b - need,) if b > need else ()
-                if solve(new_sizes, tuple(sorted(budgets[:bi] + budgets[bi + 1:] + left))):
-                    out = True
-                    break
-            if out:
-                break
-        memo[key] = out
-        return out
-
-    def realizable(n: int, e: tuple[int, ...]) -> bool:
-        return solve((n,) if n >= 2 else (), tuple(sorted(b for b in e if b)))
-
-    return realizable, memo
-
-
 def is_realizable_standard(seq: DistributionSequence) -> bool:
-    """True iff some sequence of standard colouring steps colours all edges.
-
-    A ground-truth check for the greedy constructor, with a memo of its own.
-    With one memo shared by them all, the 115,678 n-good multisets with
-    k = 6 and n <= 13 are decided in about 1 s on a 2-core VM, their
-    enumeration included.
-    """
+    """True iff some sequence of standard colouring steps colours all edges:
+    constructor.standard_search with a memo of its own, which is exhaustive
+    when it has no node budget."""
     if not is_n_good(seq):
         raise PreconditionViolation("sequence is not n-good")
-    return _standard_search()[0](seq.n, seq.e)
+    return standard_search(seq.n, seq.e, {})[0] == "certificate"

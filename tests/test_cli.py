@@ -33,6 +33,19 @@ class TestConstructCommand:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_paper_regime_search_round_trip(self, tmp_path, capsys):
+        # both descents stall on this sequence; the standard search realises
+        # it in about a thousand nodes
+        col = tmp_path / "out.col"
+        cert = tmp_path / "out.cert"
+        code = run("construct", "--target", "builtin:K3", "--n", "1000",
+                   "--seq", "balanced", "--k", "300", "--out", col, "--cert", cert)
+        assert code == 0
+        assert "strategy=greedy" in capsys.readouterr().out
+        code = run("verify", "--colouring", col, "--target", "builtin:K3", "--cert", cert)
+        assert code == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_inline_sequence_infeasible(self, capsys):
         code = run("construct", "--target", "builtin:K3", "--n", "3",
                    "--seq", "1 1 1")

@@ -27,11 +27,13 @@ from gallaikit.constructor import (
     construct_staged,
     cushion,
     drain_with_cushion,
-    greedy_search,
+    greedy_descent,
     max_split_descent,
     read_certificate,
     realize_certificate,
     reduce_large,
+    standard_certificate,
+    standard_search,
     write_certificate,
 )
 from gallaikit.errors import (
@@ -248,22 +250,37 @@ class TestConstructGreedy:
                 assert verify_certificate(res.certificate, col, seq).ok
 
     @pytest.mark.parametrize("line, nodes, steps_sha256", [
-        ("42 129 34 214 62 5 16 78 177 40 106", 1568,
-         "c6a5331671231532c7f207704fcd663c7057b8538bb7e46d107a474a3d00b0c6"),
-        ("48 5 270 224 16 369 1 30 60 19 41 16 77", 1715,
-         "664075cf0a8741507a0343be64101de26d5d3498b6b9231c0bd8760d57ccf061"),
+        ("42 129 34 214 62 5 16 78 177 40 106", 42,
+         "fa6765a2227ea3ea377bae04dd577e5db9110abf0db938294671999266fb795c"),
+        ("48 5 270 224 16 369 1 30 60 19 41 16 77", 48,
+         "7993449bf0e90921df9d0c8aceee2935599241d3770546799cf1d5adcd26b806"),
     ])
     def test_search_nodes_and_steps_pinned(self, line, nodes, steps_sha256):
         # sequences from the k3-search benchmark pool on which the best-fit
-        # descent fails; the depth-first search must visit the same nodes and
-        # emit the same steps as before the colour order was hoisted out of
-        # the t loop
+        # descent fails; the standard search must visit the same nodes and
+        # emit the same steps as when budgets came to be tried best fit first
         n, *e = (int(x) for x in line.split())
-        res = greedy_search(n, DistributionSequence.of(n, e))
-        assert res.status == "certificate"
-        assert res.nodes == nodes
-        text = "".join(f"{s.lo} {s.hi} {s.t} {s.colour}\n" for s in res.certificate.steps)
+        memo: dict = {}
+        assert standard_search(n, e, memo) == ("certificate", nodes)
+        text = "".join(f"{s.lo} {s.hi} {s.t} {s.colour}\n"
+                       for s in standard_certificate(n, e, memo).steps)
         assert hashlib.sha256(text.encode()).hexdigest() == steps_sha256
+
+    def test_search_first_dive_is_best_fit(self, rng):
+        # t = 1 in the smallest budget that pays s-1 comes first, so wherever
+        # the best-fit descent colours everything the search takes its steps,
+        # one node per step
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            seq = random_sequence(rng, n, rng.randint(1, 8))
+            st = SplitState.initial(n, seq.e)
+            if greedy_descent(st):
+                hits += 1
+                memo: dict = {}
+                assert standard_search(n, seq.e, memo) == ("certificate", len(st.steps))
+                assert standard_certificate(n, seq.e, memo).steps == st.steps, seq.e
+        assert hits > 100
 
     def test_search_runs_only_when_both_descents_fail(self):
         # the maximal-size split realises the first pinned sequence above
@@ -274,7 +291,7 @@ class TestConstructGreedy:
         n, e = 48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102)
         assert not max_split_descent(SplitState.initial(n, e))
         res = construct_greedy(n, DistributionSequence.of(n, e))
-        assert res.status == "certificate" and res.nodes == 275
+        assert res.status == "certificate" and res.nodes == 48
         assert res.certificate.metadata == {"strategy": "greedy"}
 
 
@@ -329,11 +346,13 @@ class TestMaxSplitDescent:
                 assert colour_counts(col) == list(seq.e)
         assert realised > 100
 
-    @pytest.mark.parametrize("k, n", [(20, 104), (40, 264), (80, 684)])
+    @pytest.mark.parametrize("k, n", [(20, 104), (40, 264), (80, 684),
+                                      (20, 52), (40, 132), (80, 342)])
     def test_paper_regime_constructs(self, k, n):
-        # n = ceil(2 k^1.5 / sqrt(ln k)): the balanced sequence and six seeded
-        # gamma compositions each get a certificate that verifies
-        assert n == math.ceil(2 * k ** 1.5 / math.sqrt(math.log(k)))
+        # n = ceil(c k^1.5 / sqrt(ln k)) with c = 2 or 1: the balanced sequence
+        # and six seeded gamma compositions each get a certificate that
+        # verifies; at c = 1 some need the standard search after both descents
+        assert n in [math.ceil(c * k ** 1.5 / math.sqrt(math.log(k))) for c in (2, 1)]
         rng = random.Random(k)
         seqs = [balanced_sequence(n, k)] + [
             _gamma_sequence(rng, n, k, shape) for shape in (0.3, 0.3, 1, 1, 3, 3)]

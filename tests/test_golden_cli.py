@@ -10,8 +10,10 @@ The fixture pins the behaviour of the command line as it was before the
 step-replay kernel, the construct helpers and the scan-free partition search
 were introduced; its forest-target lines, the behaviour as it was before
 construct became one guarded chain; its last four lines, the behaviour after
-the triangle scan came to settle cyclic targets in verify. Do not
-regenerate it to make this test pass: a mismatch means an output changed.
+the triangle scan came to settle cyclic targets in verify; its k3-n48-dfs
+pair, the behaviour after the standard search came to try budgets best fit
+first. Do not regenerate it to make this test pass: a mismatch means an
+output changed.
 `python tests/test_golden_cli.py` prints the lines for the checkout it runs
 in.
 """
@@ -35,8 +37,8 @@ FIXTURE = Path(__file__).parent / "fixtures" / "golden_cli.txt"
 # A pool sequence of the k3-search benchmark on which the best-fit descent
 # fails; the maximal-size split descent realises it without a search.
 DFS_42 = "129 34 214 62 5 16 78 177 40 106"
-# A sequence on which both descents fail and the depth-first search runs
-# (275 nodes).
+# A sequence on which both descents fail and the standard search runs
+# (48 nodes).
 DFS_48 = "67 167 126 48 131 201 72 36 65 80 33 102"
 
 

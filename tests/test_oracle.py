@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gallaikit.core import DistributionSequence, TargetGraph, colour_counts
+from gallaikit.core import DistributionSequence, TargetGraph, balanced_sequence, colour_counts
 from gallaikit.constructor import construct_greedy
 from gallaikit.errors import PreconditionViolation
 from gallaikit.oracle import (
@@ -237,11 +237,37 @@ class TestIsRealizableStandard:
             greedy = construct_greedy(n, seq).status
             assert std == (greedy == "certificate")
 
+    def test_deep_search_needs_no_recursion(self):
+        # one step per vertex: 1999 steps deep, past Python's recursion limit
+        assert is_realizable_standard(balanced_sequence(2000, 5))
+
     def test_agrees_with_greedy_on_every_multiset(self):
-        # splitting only the largest block loses no standard colouring
+        # the search splits only the largest block, since steps on different
+        # blocks commute; this enumeration splits any block, by any t, in any
+        # colour, memoised on the exact budget vector, and must agree, and so
+        # must the greedy constructor, whose descents run before the search
+        def any_split(sizes: tuple, budgets: tuple, memo: dict) -> bool:
+            if not sizes:
+                return True
+            key = (sizes, budgets)
+            if key not in memo:
+                memo[key] = any(
+                    any_split(tuple(sorted(sizes[:i] + sizes[i + 1:]
+                                           + tuple(p for p in (s - t, t) if p >= 2))),
+                              budgets[:j] + (budgets[j] - t * (s - t),) + budgets[j + 1:],
+                              memo)
+                    for i, s in enumerate(sizes) for t in range(1, s // 2 + 1)
+                    for j in range(len(budgets)) if budgets[j] >= t * (s - t))
+            return memo[key]
+
+        memo: dict = {}
+        rows = 0
         for k in range(1, 5):
             for n in range(2, 9):
                 for e in n_good_multisets(n, k):
+                    rows += 1
                     seq = DistributionSequence(n, k, e)
-                    greedy = construct_greedy(n, seq).status
-                    assert is_realizable_standard(seq) == (greedy == "certificate"), e
+                    std = is_realizable_standard(seq)
+                    assert std == any_split((n,), e, memo), e
+                    assert std == (construct_greedy(n, seq).status == "certificate"), e
+        assert rows == 693

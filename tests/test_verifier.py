@@ -22,9 +22,10 @@ from gallaikit.constructor import (
     StepRecord,
     construct_greedy,
     construct_mindeg3,
-    greedy_search,
     read_certificate,
     realize_certificate,
+    standard_certificate,
+    standard_search,
     write_certificate,
 )
 from gallaikit.errors import StructuralMismatch
@@ -314,7 +315,7 @@ class TestVerifyCertificate:
 
 
 class TestReplayKernel:
-    """Damaged copies of one depth-first search certificate: every replay
+    """Damaged copies of one standard search certificate: every replay
     check must fail at the right step, in verify_certificate,
     realize_certificate and the CLI."""
 
@@ -336,11 +337,12 @@ class TestReplayKernel:
 
     def test_greedy_certificate_is_the_undamaged_one(self):
         # the maximal-size split realises SEQ too, by other steps; the damage
-        # cases are written against the depth-first search's steps
-        res = greedy_search(6, self.SEQ)
-        assert res.certificate.steps == self.STEPS
-        assert verify_certificate(res.certificate, realize_certificate(res.certificate),
-                                  self.SEQ).ok
+        # cases are written against the standard search's steps
+        memo: dict = {}
+        assert standard_search(6, self.SEQ.e, memo)[0] == "certificate"
+        cert = standard_certificate(6, self.SEQ.e, memo)
+        assert cert.steps == self.STEPS
+        assert verify_certificate(cert, realize_certificate(cert), self.SEQ).ok
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_damaged_certificate_fails(self, case, tmp_path, capsys):
