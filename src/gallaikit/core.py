@@ -318,28 +318,82 @@ def read_sequence(path: str) -> DistributionSequence:
     return DistributionSequence(n, k, e)
 
 
+# The colouring writer formats consecutive upper-triangle rows holding at most
+# this many cells (at least one row) at a time: its temporaries take about
+# 1 MB for colours of up to 3 digits and under 3 MB for 10, whatever n is.
+_BAND_CELLS = 1 << 16
+
+
+def _bands(n: int):
+    """(u, v, cells): upper-triangle rows u..v-1 hold `cells` cells."""
+    u = 1
+    while u < n:
+        v, cells = u + 1, n - u
+        while v < n and cells + n - v <= _BAND_CELLS:
+            cells += n - v
+            v += 1
+        yield u, v, cells
+        u = v
+
+
 def write_colouring(col: Colouring, path: str) -> None:
-    m = col.matrix
-    # sized by the largest colour present, so a large declared k costs nothing
-    names = [str(c) for c in range(int(m.max()) + 1)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{col.n} {col.k}\n")
-        for u in range(1, col.n):
-            f.write(" ".join(map(names.__getitem__, m[u - 1, u:].tolist())) + "\n")
+    """Write col in the canonical text form: the line "n k", then for
+    u = 1..n-1 the colours of (u, u+1), ..., (u, n) in decimal, one space
+    apart, one line per u.
+
+    numpy formats each band of rows as a (cells, width + 1) byte array, width
+    being the digit count of the band's largest colour: each cell's digits,
+    then a space or the row's newline, less the leading zeros. Time and memory
+    are O(n^2) whatever the colour values are.
+    """
+    n, m = col.n, col.matrix
+    with open(path, "wb") as f:
+        f.write(f"{n} {col.k}\n".encode())
+        for u, v, cells in _bands(n):
+            band = np.concatenate([m[w - 1, w:] for w in range(u, v)])
+            width = len(str(int(band.max())))
+            text = np.empty((cells, width + 1), dtype=np.uint8)
+            keep = np.ones((cells, width + 1), dtype=bool)
+            for j in range(width - 1):
+                np.greater_equal(band, 10 ** (width - 1 - j), out=keep[:, j])
+            quotient = np.empty_like(band)
+            for j in range(width - 1, -1, -1):
+                np.floor_divide(band, 10, out=quotient)
+                band -= quotient * 10 - ord("0")
+                text[:, j] = band
+                band, quotient = quotient, band
+            text[:, width] = ord(" ")
+            text[np.cumsum(np.arange(n - u, n - v, -1)) - 1, width] = ord("\n")
+            f.write(text[keep])
+
+
+def _is_integer(token: str) -> bool:
+    """An optional sign, then ASCII digits; int() alone would also take
+    "1_0" and other scripts' digits."""
+    digits = token[1:] if token[0] in "+-" else token
+    return digits.isascii() and digits.isdigit()
 
 
 def read_colouring(path: str) -> Colouring:
     lines = _data_lines(path)
     if not lines:
         raise ValueError(f"colouring file {path}: empty")
-    n, k = (int(x) for x in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 2 or not all(map(_is_integer, header)) or min(map(int, header)) < 1:
+        raise ValueError(f"colouring file {path}: header must be 'n k' with integers n >= 1, k >= 1")
+    n, k = map(int, header)
     if k > _MAX_COLOUR:
         raise ValueError(f"colouring file {path}: k = {k} exceeds the largest colour {_MAX_COLOUR}")
     if len(lines) != n:
         raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {len(lines) - 1}")
+    # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so a file with a sign
+    # in it has its tokens checked; files the writer makes have none
+    signed = any("+" in ln or "-" in ln for ln in lines)
     m = zero_matrix(n)
     for u in range(1, n):
         try:
+            if signed and not all(map(_is_integer, lines[u].split())):
+                raise ValueError
             row = np.fromstring(lines[u], dtype=np.int64, sep=" ")
         except ValueError:
             raise ValueError(f"colouring file {path}: row {u} holds a token that is not "

@@ -254,6 +254,11 @@ MALFORMED_COLOURINGS = {
     "colour-minus-1": "3 2\n1 -1\n1\n",
     "colour-2^32+1": "3 2\n1 4294967297\n1\n",
     "huge-header-k": "2 99999999999999999999\n1\n",
+    "lone-plus": "3 2\n+ 1 1\n1\n",
+    "trailing-plus": "3 2\n1 +\n1\n",
+    "header-n-0": "0 2\n",
+    "header-three-tokens": "3 2 9\n1 1\n1\n",
+    "header-k-2.0": "3 2.0\n1 1\n1\n",
 }
 
 

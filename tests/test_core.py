@@ -265,6 +265,89 @@ class TestFileFormats:
                           b"  # between rows\r\n\r\n\t10 2\r\n#\n7 \n# trailing\n")
         assert read_colouring(messy) == read_colouring(canonical) == col
 
+    def test_largest_colour_round_trips(self, tmp_path):
+        top = 2 ** 31 - 1
+        col = Colouring(2, top, np.array([[0, top], [top, 0]], dtype=np.int32))
+        p, p2 = tmp_path / "a.col", tmp_path / "b.col"
+        write_colouring(col, p)
+        assert p.read_bytes() == b"2 2147483647\n2147483647\n"
+        assert read_colouring(p) == col
+        write_colouring(read_colouring(p), p2)
+        assert p2.read_bytes() == p.read_bytes()
+
+    def test_colouring_text_of_wide_colours(self, tmp_path):
+        col = Colouring.from_edge_colours(
+            3, 2 ** 31 - 1, {(1, 2): 10 ** 9, (1, 3): 1, (2, 3): 2 ** 31 - 1})
+        write_colouring(col, tmp_path / "a.col")
+        assert (tmp_path / "a.col").read_text() == "3 2147483647\n1000000000 1\n2147483647\n"
+
+    def test_writer_memory_does_not_grow_with_colours(self, tmp_path):
+        def peak(low, high):
+            m = np.triu(np.random.default_rng(7).integers(low, high + 1, (600, 600), dtype=np.int32), 1)
+            col = Colouring(600, high, m + m.T)
+            tracemalloc.start()
+            try:
+                write_colouring(col, tmp_path / "a.col")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, wide = peak(1, 9), peak(2 ** 31 - 9, 2 ** 31 - 1)
+        # the band arrays grow with the digit count, 2 to 11 bytes a cell
+        assert wide < 5 * small and wide < 4 * 2 ** 20
+
+    @given(st.integers(1, 30),
+           st.one_of(st.sampled_from([1, 9, 10, 99, 100, 10 ** 9, 2 ** 31 - 1]),
+                     st.integers(1, 2 ** 31 - 1)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_colouring_codec_matches_str_formatting(self, tmp_path_factory, n, k, rnd):
+        m = np.zeros((n, n), dtype=np.int64)
+        for u in range(n):
+            for v in range(u + 1, n):
+                m[u, v] = m[v, u] = rnd.randint(1, k)
+        col = Colouring(n, k, m)
+        rows = [[int(c) for c in m[u - 1, u:]] for u in range(1, n)]
+        p = tmp_path_factory.mktemp("codec") / "a.col"
+        write_colouring(col, p)
+        assert p.read_text() == "".join(" ".join(map(str, row)) + "\n" for row in [[n, k]] + rows)
+        assert read_colouring(p) == col
+
+        def gap():
+            return "".join(rnd.choice([" ", "\t"]) for _ in range(rnd.randint(1, 3)))
+
+        text = ""
+        for row in [[n, k]] + rows:
+            for _ in range(rnd.randint(0, 2)):
+                text += rnd.choice(["", "  ", "# note", " # k-1 + 2"]) + rnd.choice(["\n", "\r\n"])
+            edge = gap() if rnd.random() < 0.3 else ""
+            # a signed token sends the reader through its per-token check
+            tokens = [("+" if rnd.random() < 0.1 else "") + str(c) for c in row]
+            text += edge + gap().join(tokens) + edge + rnd.choice(["\n", "\r\n"])
+        p.write_bytes(text.encode())
+        assert read_colouring(p) == col
+
+    # Each case pins its exact message.
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n+ 1 1\n1\n", "row 1 holds a token that is not a base-10 integer"),
+        ("3 2\n1 +\n1\n", "row 1 holds a token that is not a base-10 integer"),
+        ("3 2\n1 1\n-\n", "row 2 holds a token that is not a base-10 integer"),
+        ("3 2\n1 x\n1\n", "row 1 holds a token that is not a base-10 integer"),
+        ("0 2\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+        ("3 2 9\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+        ("3 2.0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+        ("3\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+        ("3 0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+        ("3 1_0\n1 10\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
+    ], ids=["lone-plus", "trailing-plus", "lone-minus", "token-x", "n0", "three-tokens",
+            "k-2.0", "one-token", "k0", "k-1_0"])
+    def test_colouring_reader_messages(self, tmp_path, text, message):
+        p = tmp_path / "bad.col"
+        p.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            read_colouring(p)
+        assert str(caught.value) == f"colouring file {p}: {message}"
+
     def test_target_roundtrip(self, tmp_path):
         H = petersen()
         p = tmp_path / "H.txt"
