@@ -22,8 +22,8 @@ from .core import (
     is_n_good,
 )
 from .constructor import StageConstants, floor_root
-from .errors import HeuristicFailure, NotGallai, PreconditionViolation, RangeError
-from .verifier import Embedding, find_rainbow_triangle, search_gallai_partition
+from .errors import NotGallai, PreconditionViolation, RangeError
+from .verifier import Embedding, find_gallai_partition, find_rainbow_triangle
 
 KIND_RAINBOW_KM = "RainbowKmForced"
 KIND_TREE = "TreeForced"
@@ -355,13 +355,10 @@ def peel_splitting_process(col: Colouring, stop: int) -> PeelTrace:
     while len(active) > stop:
         sub = col.induced(active)
         # induced sub-colourings of a Gallai colouring are Gallai: no rescan
-        out = search_gallai_partition(sub)
-        if out.partition is None:
-            raise HeuristicFailure(
-                f"no partition found on a {len(active)}-vertex Gallai block")
-        p = out.partition
-        smallest = min(p.parts, key=lambda part: (len(part), part))
         x = len(active)
+        p = find_gallai_partition(sub)
+        assert p is not None, f"{x}-vertex Gallai block without a partition (internal bug)"
+        smallest = min(p.parts, key=lambda part: (len(part), part))
         t = len(smallest)
         base = tuple(sorted(p.base_colours))
         counts = colour_counts(sub)

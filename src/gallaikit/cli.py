@@ -39,10 +39,10 @@ from .errors import (
     StructuralMismatch,
 )
 from .verifier import (
+    find_gallai_partition,
     find_rainbow_subgraph,
-    partition_lines,
+    partition_line,
     proves_rainbow_free,
-    search_gallai_partition,
     verify_certificate,
 )
 
@@ -233,10 +233,10 @@ def _cmd_verify(args) -> int:
             if triangle is not None:
                 failures.append(triangle.witness_line("TRIANGLE"))
             elif 2 <= col.n <= 64:
-                out = search_gallai_partition(col)
-                if out.partition is not None:
-                    for line in partition_lines(out.partition):
-                        print(line)
+                # proof is "certificate" or "gallai": col is Gallai
+                p = find_gallai_partition(col)
+                assert p is not None, "Gallai colouring without a partition (internal bug)"
+                print(partition_line(p))
         elif proof is None:
             hit = find_rainbow_subgraph(col, H, node_budget=args.budget)
             if hit.found:

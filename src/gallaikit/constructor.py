@@ -145,17 +145,6 @@ class SplitState:
         self.steps.append(StepRecord(lo, hi, t, colour))
         assert self._pairs_sum == self._budget_sum, "conservation broken (internal bug)"
 
-    def undo_last_step(self) -> None:
-        step = self.steps.pop()
-        size = step.hi - step.lo + 1
-        need = step.t * (size - step.t)
-        self.budgets[step.colour - 1] += need
-        self._budget_sum += need
-        self._pairs_sum += comb(size, 2) - comb(size - step.t, 2) - comb(step.t, 2)
-        self.blocks.pop(step.lo, None)
-        self.blocks.pop(step.hi - step.t + 1, None)
-        self.blocks[step.lo] = step.hi
-
     def to_certificate(self, metadata: dict[str, str] | None = None) -> SplitCertificate:
         return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata or {}))
 
@@ -833,13 +822,13 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
             return ConstructionResult("ok", realize_certificate(res.certificate),
                                       res.certificate, "greedy")
         reasons.append(f"greedy: {res.status}")
-        if H.m >= 3 and n >= H.m:
-            cert = bounds.clash_bound_check(seq, H.m)
-            if cert is not None:
-                return ConstructionResult(
-                    "infeasible", infeasibility=cert,
-                    reasons=reasons + ["clash bound forces a rainbow complete graph"])
-            reasons.append("clash bound inconclusive")
+        # degeneracy >= 2 needs H.m >= 3, and H.m <= n past the trivial fill
+        cert = bounds.clash_bound_check(seq, H.m)
+        if cert is not None:
+            return ConstructionResult(
+                "infeasible", infeasibility=cert,
+                reasons=reasons + ["clash bound forces a rainbow complete graph"])
+        reasons.append("clash bound inconclusive")
         raise NotConstructed(reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.

@@ -68,10 +68,6 @@ class NotGallai(GallaiKitError):
         super().__init__(f"rainbow triangle at {witness.vertices}")
 
 
-class HeuristicFailure(GallaiKitError):
-    """The Gallai-partition search failed on a colouring it should decompose."""
-
-
 class NotConstructed(GallaiKitError):
     """No construction strategy produced a colouring; carries the reason chain
     and, when an attempted colouring failed verification, the rainbow witness."""

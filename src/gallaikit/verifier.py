@@ -242,13 +242,6 @@ class GallaiPartition:
     moreover_holds: bool = False
 
 
-@dataclass
-class GallaiSearch:
-    partition: GallaiPartition | None
-    rainbow_triangle: Embedding | None = None
-    heuristic_failure: bool = False
-
-
 def _components(join: np.ndarray) -> np.ndarray:
     """Label each vertex with the least vertex (0-based) of its component of
     the symmetric boolean n x n relation join, by a frontier BFS over rows."""
@@ -277,20 +270,11 @@ def _build_partition(col: Colouring, parts: list[list[int]]) -> GallaiPartition:
     return GallaiPartition(base, tuple(tuple(p) for p in parts), between, moreover)
 
 
-def find_gallai_partition(col: Colouring) -> GallaiSearch:
-    """Scan col for a rainbow triangle and, when there is none, search for a
-    Gallai partition with search_gallai_partition. Returns no partition only
-    alongside a rainbow-triangle witness, or with heuristic_failure set."""
-    tri = find_rainbow_triangle(col)
-    if tri is not None:
-        return GallaiSearch(None, rainbow_triangle=tri)
-    return search_gallai_partition(col)
-
-
-def search_gallai_partition(col: Colouring) -> GallaiSearch:
+def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     """Find a Gallai partition of a colouring already known to be Gallai,
     preferring one where every base colour covers at least n-1 inter-part
-    edges; no rainbow-triangle scan is made.
+    edges. No rainbow-triangle scan is made: a caller that does not know col
+    is Gallai runs find_rainbow_triangle first.
 
     Tries every candidate base set (all singletons of used colours, then all
     pairs). For each, the parts are the components of the non-base edges:
@@ -304,8 +288,7 @@ def search_gallai_partition(col: Colouring) -> GallaiSearch:
     Every Gallai colouring on n >= 2 vertices has a partition with at most
     two base colours (Gallai 1967). Its base set is a candidate, and the
     components for it refine that partition, so they form two or more parts.
-    On a Gallai colouring heuristic_failure can therefore only mean an
-    internal fault.
+    None is therefore returned only on a colouring that is not Gallai.
     """
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
@@ -321,12 +304,10 @@ def search_gallai_partition(col: Colouring) -> GallaiSearch:
         parts = [(np.flatnonzero(label == rep) + 1).tolist() for rep in np.unique(label)]
         partition = _build_partition(col, parts)
         if partition.moreover_holds:
-            return GallaiSearch(partition)
+            return partition
         if fallback is None:
             fallback = partition
-    if fallback is not None:
-        return GallaiSearch(fallback)
-    return GallaiSearch(None, heuristic_failure=True)
+    return fallback
 
 
 def verify_gallai_partition(col: Colouring, p: GallaiPartition) -> bool:
@@ -348,11 +329,9 @@ def verify_gallai_partition(col: Colouring, p: GallaiPartition) -> bool:
     return True
 
 
-def partition_lines(p: GallaiPartition) -> list[str]:
-    line = "PARTITION base=" + ",".join(str(c) for c in sorted(p.base_colours))
-    for part in p.parts:
-        line += " part=" + ",".join(str(v) for v in part)
-    return [line]
+def partition_line(p: GallaiPartition) -> str:
+    return ("PARTITION base=" + ",".join(str(c) for c in sorted(p.base_colours))
+            + "".join(" part=" + ",".join(str(v) for v in part) for part in p.parts))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each case builds one colouring from its seed and pins three things in
 `fixtures/golden_partitions.txt`: a digest of the colouring, the outcome of
-`find_gallai_partition` (the partition line and whether the "moreover"
-condition holds, or the rainbow-triangle witness) and the steps of
-`peel_splitting_process(col, 1)`.
+`find_rainbow_triangle` and `find_gallai_partition` (the rainbow-triangle
+witness, or else the partition line and whether the "moreover" condition
+holds) and the steps of `peel_splitting_process(col, 1)`.
 
 Two thirds of the colourings come from recursive substitution: the vertices
 are split into 2-6 consecutive parts, each part pair is joined in one of two
@@ -32,7 +32,7 @@ import numpy as np
 from gallaikit.bounds import peel_splitting_process
 from gallaikit.core import Colouring
 from gallaikit.errors import NotGallai
-from gallaikit.verifier import find_gallai_partition, partition_lines
+from gallaikit.verifier import find_gallai_partition, find_rainbow_triangle, partition_line
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_partitions.txt"
 CASES = 300
@@ -76,14 +76,13 @@ def case_line(seed: int) -> str:
     upper = col.matrix[np.triu_indices(col.n, k=1)].astype(np.int32)
     fields = [f"case={seed}", f"n={col.n}", f"k={col.k}",
               "col=" + hashlib.sha256(upper.tobytes()).hexdigest()[:16]]
-    out = find_gallai_partition(col)
-    if out.rainbow_triangle is not None:
-        fields.append(out.rainbow_triangle.witness_line())
-    elif out.partition is None:
-        fields.append("HEURISTIC_FAILURE")
+    tri = find_rainbow_triangle(col)
+    if tri is not None:
+        fields.append(tri.witness_line())
+    elif (p := find_gallai_partition(col)) is None:
+        fields.append("NO_PARTITION")
     else:
-        fields += partition_lines(out.partition)
-        fields.append(f"moreover={int(out.partition.moreover_holds)}")
+        fields += [partition_line(p), f"moreover={int(p.moreover_holds)}"]
     try:
         steps = peel_splitting_process(col, 1).steps
         fields.append("PEEL " + (";".join(

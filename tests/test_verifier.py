@@ -36,7 +36,7 @@ from gallaikit.verifier import (
     find_rainbow_subgraph,
     find_rainbow_triangle,
     colour_degrees,
-    partition_lines,
+    partition_line,
     peels_two_colours,
     proves_rainbow_free,
     verify_certificate,
@@ -204,8 +204,7 @@ class TestRainbowTree:
 
 class TestGallaiPartition:
     def test_split_k4(self):
-        out = find_gallai_partition(split_k4())
-        p = out.partition
+        p = find_gallai_partition(split_k4())
         assert p is not None
         assert p.parts == ((1, 2), (3, 4))
         assert p.base_colours == frozenset({1})
@@ -214,58 +213,61 @@ class TestGallaiPartition:
 
     def test_monochromatic(self):
         col = Colouring.monochromatic(5)
-        out = find_gallai_partition(col)
-        assert out.partition is not None
-        assert verify_gallai_partition(col, out.partition)
+        p = find_gallai_partition(col)
+        assert p is not None
+        assert verify_gallai_partition(col, p)
 
     def test_rainbow_triangle_gives_witness(self):
+        # the scan names the triangle; the partition search, which makes no
+        # scan, finds no partition of it
         col = Colouring.from_edge_colours(3, 3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-        out = find_gallai_partition(col)
-        assert out.partition is None
-        assert out.rainbow_triangle == Embedding((1, 2, 3))
+        assert find_rainbow_triangle(col) == Embedding((1, 2, 3))
+        assert find_gallai_partition(col) is None
 
     def test_random_gallai_colourings_decompose(self, rng):
         # random 2-colourings are always Gallai; partitions must verify
         for _ in range(25):
             n = rng.randint(2, 10)
             col = random_colouring(rng, n, 2)
-            out = find_gallai_partition(col)
-            assert not out.heuristic_failure
-            assert out.partition is not None
-            assert verify_gallai_partition(col, out.partition)
+            p = find_gallai_partition(col)
+            assert p is not None
+            assert verify_gallai_partition(col, p)
 
     def test_outcome_is_partition_or_witness(self, rng):
         for _ in range(40):
             n = rng.randint(2, 9)
             k = rng.randint(1, 5)
             col = random_colouring(rng, n, k)
-            out = find_gallai_partition(col)
-            if out.partition is not None:
-                assert verify_gallai_partition(col, out.partition)
+            w = find_rainbow_triangle(col)
+            p = find_gallai_partition(col)
+            if w is None:
+                assert p is not None
+                assert verify_gallai_partition(col, p)
             else:
-                w = out.rainbow_triangle
-                assert w is not None
                 a, b, c = w.vertices
                 assert len({col.colour_of(a, b), col.colour_of(a, c),
                             col.colour_of(b, c)}) == 3
+                assert p is None or verify_gallai_partition(col, p)
 
     def test_search_outside_gallai_returns_only_valid_partitions(self, rng):
         # a rainbow triangle inside one part leaves a valid partition
         col = Colouring.from_edge_colours(4, 4, {(1, 2): 1, (1, 3): 2, (2, 3): 3,
                                                  (1, 4): 4, (2, 4): 4, (3, 4): 4})
-        out = verifier.search_gallai_partition(col)
-        assert out.partition.parts == ((1, 2, 3), (4,))
+        assert find_gallai_partition(col).parts == ((1, 2, 3), (4,))
         rainbow = Colouring.from_edge_colours(3, 3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-        assert verifier.search_gallai_partition(rainbow).heuristic_failure
+        assert find_gallai_partition(rainbow) is None
         for _ in range(40):
             col = random_colouring(rng, rng.randint(2, 9), rng.randint(3, 5))
-            out = verifier.search_gallai_partition(col)
-            assert out.heuristic_failure or verify_gallai_partition(col, out.partition)
+            p = find_gallai_partition(col)
+            assert p is None or verify_gallai_partition(col, p)
 
     def test_partition_serialisation(self):
-        out = find_gallai_partition(split_k4())
-        lines = partition_lines(out.partition)
-        assert lines == ["PARTITION base=1 part=1,2 part=3,4"]
+        p = find_gallai_partition(split_k4())
+        assert partition_line(p) == "PARTITION base=1 part=1,2 part=3,4"
+
+    def test_callers_share_one_routine(self):
+        assert cli.find_gallai_partition is verifier.find_gallai_partition
+        assert bounds.find_gallai_partition is verifier.find_gallai_partition
 
 
 class TestVerifyCertificate:
@@ -370,20 +372,25 @@ class TestReplayKernel:
 
 class TestOneTriangleScan:
     """Being Gallai is hereditary, so one rainbow-triangle scan per colouring
-    settles it and every block cut from it."""
+    settles it and every block cut from it; the partition search that follows
+    makes no scan of its own."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
+        """Every triangle scan and partition search, in call order, as
+        ("scan", n) and ("partition", n)."""
         calls = []
+        for name, tag in (("find_rainbow_triangle", "scan"),
+                          ("find_gallai_partition", "partition")):
+            orig = getattr(verifier, name)
 
-        def counted(col):
-            calls.append(col.n)
-            return orig(col)
+            def counted(col, orig=orig, tag=tag):
+                calls.append((tag, col.n))
+                return orig(col)
 
-        orig = verifier.find_rainbow_triangle
-        for mod in (gallaikit, verifier, bounds, cli):
-            if getattr(mod, "find_rainbow_triangle", None) is orig:
-                monkeypatch.setattr(mod, "find_rainbow_triangle", counted)
+            for mod in (gallaikit, verifier, bounds, cli):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
         return calls
 
     @pytest.mark.parametrize("n", [8, 70])
@@ -392,7 +399,7 @@ class TestOneTriangleScan:
         assert main(["construct", "--target", "builtin:K3", "--n", str(n),
                      "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3"]) == 0
-        assert scans == [n]
+        assert scans == [("scan", n)] + ([("partition", n)] if n <= 64 else [])
 
     @pytest.mark.parametrize("n", [8, 70])
     def test_verify_c4_scans_once(self, n, scans, tmp_path, capsys):
@@ -400,14 +407,14 @@ class TestOneTriangleScan:
         assert main(["construct", "--target", "builtin:C4", "--n", str(n),
                      "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 0
-        assert scans == [n]
+        assert scans == [("scan", n)]
 
     def test_verify_c4_searches_after_the_scan(self, scans, tmp_path, capsys):
         col_path = tmp_path / "distinct.col"
         write_colouring(all_distinct(8), str(col_path))
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 2
         assert capsys.readouterr().out == "RAINBOW 1 2 3 4\n"
-        assert scans == [8]
+        assert scans == [("scan", 8)]
 
     @pytest.mark.parametrize("n", [8, 70])
     def test_verify_k3_with_certificate_scans_none(self, n, scans, tmp_path, capsys):
@@ -417,9 +424,12 @@ class TestOneTriangleScan:
         capsys.readouterr()
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3",
                      "--cert", str(cert_path)]) == 0
-        assert scans == []
+        partitions = [("partition", n)] if n <= 64 else []
+        assert scans == partitions
         with_cert = capsys.readouterr().out
+        scans.clear()
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3"]) == 0
+        assert scans == [("scan", n)] + partitions
         assert capsys.readouterr().out == with_cert    # the same PARTITION line at n=8
         assert with_cert.startswith("PARTITION") == (n <= 64)
 
@@ -435,14 +445,14 @@ class TestOneTriangleScan:
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K3",
                      "--cert", str(cert_path)]) == 2
         assert "certificate replay failed" in capsys.readouterr().out
-        assert scans == [70]
+        assert scans == [("scan", 70)]
 
     def test_peel_scans_once(self, scans):
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
         trace = bounds.peel_splitting_process(col, stop=1)
         assert len(trace.steps) > 1
-        assert scans == [12]
+        assert scans == [("scan", 12)] + [("partition", s.x_before) for s in trace.steps]
 
 
 K4, K5 = TargetGraph.complete(4), TargetGraph.complete(5)
