@@ -303,8 +303,10 @@ def general_lower_sequence(H: TargetGraph, k: int
         raise RangeError("C(n,2)", comb(n, 2) if n >= 1 else 0)
     seq = balanced_sequence(n, k)
     cert = clash_bound_check(seq, m)
-    if cert is None:
-        raise RangeError("clash bound margin", 0)
+    # C(n,2) >= k >= n m^3 makes n >= 2m^3 + 1 >= 55, and q = floor(C(n,2)/k)
+    # <= (n-1)/(2m^3), so sum C(e_i,2) <= q C(n,2)/2 <= n(n-1)^2/(8m^3), below
+    # n(n-1)(n-2)/m^3 <= the clash bound's right side
+    assert cert is not None, "clash bound fails on the balanced sequence (internal bug)"
     return seq, m, cert
 
 

@@ -147,7 +147,7 @@ def _build_parser() -> _Parser:
                    help="node budget per sequence for the exhaustive search, which decides "
                         "the rows the standard search does not realise (every row of a forest "
                         "target); the standard search decides the rest")
-    p.add_argument("--total-budget", type=_positive_int, default=100_000_000,
+    p.add_argument("--total-budget", type=_positive_int, default=oracle.TOTAL_NODE_BUDGET,
                    help="node budget for the whole table: exhaustive search nodes plus "
                         "states the standard search expands")
     p.add_argument("--out-dir", default=".")

@@ -20,8 +20,8 @@ from math import comb
 import numpy as np
 
 from .core import (
-    STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good,
-    lex_colouring, paint_lex, zero_matrix,
+    MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
+    degeneracy, is_n_good, lex_colouring, paint_lex, zero_matrix,
 )
 from .errors import (
     BadSize,
@@ -59,13 +59,13 @@ class SplitCertificate:
 class SplitState:
     """Live multiset of uncoloured blocks plus per-colour budgets.
 
-    Maintains sum-of-C(size,2) over blocks and the budget total incrementally
-    and asserts their equality after every step (the conservation relation);
-    a violation would be an internal bug, not an input error.
+    The edges the blocks hold must equal the budget total (the conservation
+    relation); __init__ refuses a state where they differ. A step keeps it:
+    C(s-t,2) + C(t,2) - C(s,2) = -t(s-t), so both sides fall by the t(s-t)
+    the step spends.
     """
 
-    __slots__ = ("n", "k", "budgets", "blocks", "steps",
-                 "_pairs_sum", "_budget_sum")
+    __slots__ = ("n", "k", "budgets", "blocks", "steps")
 
     def __init__(self, n: int, k: int, budgets: list[int], blocks: dict[int, int]):
         self.n = n
@@ -73,11 +73,9 @@ class SplitState:
         self.budgets = budgets
         self.blocks = blocks
         self.steps: list[StepRecord] = []
-        self._pairs_sum = sum(comb(hi - lo + 1, 2) for lo, hi in blocks.items())
-        self._budget_sum = sum(budgets)
-        if self._pairs_sum != self._budget_sum:
-            raise ValueError(
-                f"blocks hold {self._pairs_sum} edges but budgets sum to {self._budget_sum}")
+        pairs = sum(comb(hi - lo + 1, 2) for lo, hi in blocks.items())
+        if pairs != sum(budgets):
+            raise ValueError(f"blocks hold {pairs} edges but budgets sum to {sum(budgets)}")
 
     @staticmethod
     def initial(n: int, e) -> "SplitState":
@@ -117,7 +115,7 @@ class SplitState:
     def conservation_holds(self) -> bool:
         """Recompute both sides of the conservation relation from scratch."""
         pairs = sum(comb(hi - lo + 1, 2) for lo, hi in self.blocks.items())
-        return pairs == sum(self.budgets) == self._pairs_sum
+        return pairs == sum(self.budgets)
 
     def apply_step(self, lo: int, t: int, colour: int) -> None:
         hi = self.blocks.get(lo)
@@ -135,15 +133,12 @@ class SplitState:
             raise BudgetExceeded(
                 f"colour {colour}: budget {self.budgets[colour - 1]} < t(m-t) = {need}")
         self.budgets[colour - 1] -= need
-        self._budget_sum -= need
-        self._pairs_sum += comb(size - t, 2) + comb(t, 2) - comb(size, 2)
         del self.blocks[lo]
         if size - t >= 2:
             self.blocks[lo] = hi - t
         if t >= 2:
             self.blocks[hi - t + 1] = hi
         self.steps.append(StepRecord(lo, hi, t, colour))
-        assert self._pairs_sum == self._budget_sum, "conservation broken (internal bug)"
 
     def to_certificate(self, metadata: dict[str, str] | None = None) -> SplitCertificate:
         return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata or {}))
@@ -424,13 +419,11 @@ def _max_step_size(x: int, budget: int) -> int:
     disc = x * x - 4 * budget
     if disc <= 0:
         return cap
-    # c(x-c) <= budget holds exactly for c <= (x - sqrt(disc))/2 on [0, x/2]
+    # c(x-c) <= budget holds exactly for c <= r = (x - sqrt(disc))/2 on
+    # [0, x/2], and r >= 1 as budget >= x-1. sqrt(disc) - 1 < isqrt(disc)
+    # <= sqrt(disc), so c <= x/2 is floor(r) or floor(r) + 1
     c = (x - math.isqrt(disc)) // 2
-    while c > 0 and c * (x - c) > budget:
-        c -= 1
-    while c + 1 <= cap and (c + 1) * (x - c - 1) <= budget:
-        c += 1
-    return min(c, cap)
+    return c - 1 if c * (x - c) > budget else c
 
 
 def construct_staged(n: int, seq: DistributionSequence,
@@ -774,12 +767,6 @@ class ConstructionResult:
     reasons: list[str] = field(default_factory=list)
 
 
-# Degeneracy of H from which the two-colour peel of mindeg3 rules out a rainbow
-# copy: it rules out rainbow subgraphs of minimum degree >= 3. The standard
-# links start at core.STANDARD_DEGENERACY.
-MINDEG3_DEGENERACY = 3
-
-
 def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> ConstructionResult:
     """Build a rainbow-H-free colouring realising seq, or prove that none exists.
 
@@ -832,11 +819,8 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
         raise NotConstructed(reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.
-    tf = bounds.tree_forced_check(seq, H.m) if H.edges else None
-    if tf is not None:
-        return ConstructionResult("infeasible", infeasibility=tf,
-                                  reasons=["every colouring with these counts "
-                                           "contains a rainbow copy of the target"])
+    # tree_forced_check is not tried: as max e >= C(n,2)/k, its max e <= C(n,2)/(6m)^(6m)
+    # needs k >= 12^12 listed budgets (m >= 2). `certify --kind tree` needs only n and k.
     if not H.edges:
         raise NotConstructed(
             [f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "

@@ -73,6 +73,11 @@ class TargetGraph:
 # H of this degeneracy or more: exactly the targets that contain a cycle.
 STANDARD_DEGENERACY = 2
 
+# A colouring that peels in two colours (mindeg3's output; see
+# verifier.peels_two_colours) has no rainbow subgraph of minimum degree >= 3,
+# so it is rainbow-H-free for every H of this degeneracy or more.
+MINDEG3_DEGENERACY = 3
+
 
 @lru_cache(maxsize=None)
 def degeneracy(H: TargetGraph) -> int:

@@ -39,6 +39,9 @@ REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
 INCONCLUSIVE = "inconclusive"
 
+# exact_g's budget per table: exhaustive search nodes plus standard search states
+TOTAL_NODE_BUDGET = 100_000_000
+
 
 @dataclass
 class OracleResult:
@@ -279,22 +282,17 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
             trail: list[tuple[int, int]] = []
             ok = True
             if triangle:
-                row_u, row_v = M[u - 1], M[v - 1]
-                for w in range(1, n + 1):
-                    if w == u or w == v:
-                        continue
+                # edges are assigned in lexicographic order: uw is coloured
+                # iff w < v, vw iff w < u, so exactly one of them is coloured,
+                # uw, iff u < w < v
+                row_u = M[u - 1]
+                for w in range(u + 1, v):
                     a = row_u[w - 1]
-                    bb = row_v[w - 1]
-                    if a and not bb and a != c:
-                        j = eidx[(v, w) if v < w else (w, v)]
-                        if not shrink(j, (1 << (a - 1)) | (1 << (c - 1)), trail):
-                            ok = False
-                            break
-                    elif bb and not a and bb != c:
-                        j = eidx[(u, w) if u < w else (w, u)]
-                        if not shrink(j, (1 << (bb - 1)) | (1 << (c - 1)), trail):
-                            ok = False
-                            break
+                    if a == c:
+                        continue
+                    if not shrink(eidx[(w, v)], (1 << (a - 1)) | (1 << (c - 1)), trail):
+                        ok = False
+                        break
             if ok and assign(idx + 1):
                 return True
             restore(trail)
@@ -330,10 +328,11 @@ def n_good_multisets(n: int, k: int):
     """All descending k-tuples of non-negative integers summing to C(n,2)."""
     total = comb(n, 2)
 
+    # left <= slots * cap at every call: first >= ceil(left/slots) leaves
+    # left - first <= (slots - 1) * first
     def parts(left: int, slots: int, cap: int):
         if slots == 1:
-            if left <= cap:
-                yield (left,)
+            yield (left,)
             return
         for first in range(min(left, cap), (left + slots - 1) // slots - 1, -1):
             for rest in parts(left - first, slots - 1, first):
@@ -384,7 +383,7 @@ class ExactGReport:
 
 def exact_g(H: TargetGraph, k: int, n_max: int,
             node_budget_per_seq: int = 5_000_000,
-            total_node_budget: int = 200_000_000) -> ExactGReport:
+            total_node_budget: int = TOTAL_NODE_BUDGET) -> ExactGReport:
     """For each n <= n_max, decide every n-good sequence (as a descending
     multiset; realizability is permutation-invariant).
 

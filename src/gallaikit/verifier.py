@@ -14,8 +14,8 @@ import numpy as np
 
 from .constructor import SplitCertificate, VerificationReport, replay_certificate
 from .core import (
-    STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, _row_blocks,
-    colour_counts, degeneracy,
+    MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
+    _row_blocks, colour_counts, degeneracy,
 )
 from .errors import PreconditionViolation, StructuralMismatch
 
@@ -221,7 +221,7 @@ def proves_rainbow_free(col: Colouring, H: TargetGraph,
         return None, None
     if cert_ok:
         return "certificate", None
-    if d >= 3 and peels_two_colours(col):
+    if d >= MINDEG3_DEGENERACY and peels_two_colours(col):
         return "peel", None
     tri = find_rainbow_triangle(col)
     return ("gallai", None) if tri is None else (None, tri)
@@ -239,7 +239,6 @@ class GallaiPartition:
     base_colours: frozenset[int]
     parts: tuple[tuple[int, ...], ...]
     between_colour: dict[tuple[int, int], int]
-    moreover_holds: bool = False
 
 
 def _components(join: np.ndarray) -> np.ndarray:
@@ -257,24 +256,10 @@ def _components(join: np.ndarray) -> np.ndarray:
     return label
 
 
-def _build_partition(col: Colouring, parts: list[list[int]]) -> GallaiPartition:
-    between: dict[tuple[int, int], int] = {}
-    colour_use: dict[int, int] = {}
-    for i in range(len(parts) - 1):
-        for j in range(i + 1, len(parts)):
-            c = col.colour_of(parts[i][0], parts[j][0])
-            between[(i, j)] = c
-            colour_use[c] = colour_use.get(c, 0) + len(parts[i]) * len(parts[j])
-    base = frozenset(colour_use)
-    moreover = all(cnt >= col.n - 1 for cnt in colour_use.values())
-    return GallaiPartition(base, tuple(tuple(p) for p in parts), between, moreover)
-
-
 def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
-    """Find a Gallai partition of a colouring already known to be Gallai,
-    preferring one where every base colour covers at least n-1 inter-part
-    edges. No rainbow-triangle scan is made: a caller that does not know col
-    is Gallai runs find_rainbow_triangle first.
+    """The Gallai partition of the first valid candidate base set, on a
+    colouring already known to be Gallai. No rainbow-triangle scan is made: a
+    caller that does not know col is Gallai runs find_rainbow_triangle first.
 
     Tries every candidate base set (all singletons of used colours, then all
     pairs). For each, the parts are the components of the non-base edges:
@@ -289,25 +274,28 @@ def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     two base colours (Gallai 1967). Its base set is a candidate, and the
     components for it refine that partition, so they form two or more parts.
     None is therefore returned only on a colouring that is not Gallai.
+
+    On any colouring, each base colour of the result covers at least n-1
+    inter-part edges. A valid singleton {a} puts all of them in a. A pair
+    {a,b} is tried after {a} failed, so b joins the parts in a connected graph
+    (its components, joined only in a, would make {a} valid), and so does a;
+    a connected graph on parts of sizes s_i summing to n covers
+    sum s_i s_j >= n-1 edges (remove a leaf part at a time).
     """
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
     M = col.matrix
     used = [c for c, count in enumerate(colour_counts(col), 1) if count]
-    candidates = [(c,) for c in used] + list(combinations(used, 2))
-    fallback: GallaiPartition | None = None
-    for base in candidates:
+    for base in [(c,) for c in used] + list(combinations(used, 2)):
         label = _components(~np.isin(M, base))
         crossing = label[:, None] != label[None, :]
         if not crossing.any() or (crossing & (M != M[np.ix_(label, label)])).any():
             continue
-        parts = [(np.flatnonzero(label == rep) + 1).tolist() for rep in np.unique(label)]
-        partition = _build_partition(col, parts)
-        if partition.moreover_holds:
-            return partition
-        if fallback is None:
-            fallback = partition
-    return fallback
+        reps = np.unique(label)
+        between = {(i, j): int(M[reps[i], reps[j]]) for i, j in combinations(range(len(reps)), 2)}
+        parts = tuple(tuple((np.flatnonzero(label == r) + 1).tolist()) for r in reps)
+        return GallaiPartition(frozenset(between.values()), parts, between)
+    return None
 
 
 def verify_gallai_partition(col: Colouring, p: GallaiPartition) -> bool:

@@ -68,6 +68,49 @@ def random_colouring(rng: random.Random, n: int, k: int) -> Colouring:
     return Colouring(n, k, m)
 
 
+def moreover_holds(n: int, p) -> bool:
+    """Every base colour of the Gallai partition p of K_n covers at least
+    n-1 inter-part edges, counted from its between colours and part sizes."""
+    use: dict[int, int] = {}
+    for (i, j), c in p.between_colour.items():
+        use[c] = use.get(c, 0) + len(p.parts[i]) * len(p.parts[j])
+    return all(count >= n - 1 for count in use.values())
+
+
+def _substitute(rng: random.Random, m: np.ndarray, verts: list[int], k: int) -> None:
+    """Colour the edges among verts (0-based) by recursive substitution."""
+    if len(verts) < 2:
+        return
+    cuts = sorted(rng.sample(range(1, len(verts)), min(len(verts), rng.randint(2, 6)) - 1))
+    parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
+    pair = rng.sample(range(1, k + 1), 2)
+    for i in range(len(parts) - 1):
+        for j in range(i + 1, len(parts)):
+            c = rng.choice(pair)
+            for u in parts[i]:
+                for v in parts[j]:
+                    m[u, v] = m[v, u] = c
+    for part in parts:
+        _substitute(rng, m, part, k)
+
+
+def seeded_colouring(seed: int) -> Colouring:
+    """Substitution colouring (always Gallai) for seeds not divisible by 3,
+    else a uniform colouring on 2-4 colours; n is 2-14."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    m = np.zeros((n, n), dtype=np.int32)
+    if seed % 3:
+        k = rng.randint(2, 6)
+        _substitute(rng, m, list(range(n)), k)
+    else:
+        k = rng.randint(2, 4)
+        for u in range(n - 1):
+            for v in range(u + 1, n):
+                m[u, v] = m[v, u] = rng.randint(1, k)
+    return Colouring(n, k, m)
+
+
 def brute_force_rainbow_triangles(col: Colouring) -> list[tuple[int, int, int]]:
     out = []
     for a, b, c in combinations(range(1, col.n + 1), 3):

@@ -232,6 +232,20 @@ class TestGeneralLower:
         fresh = clash_bound_check(seq, m)
         assert fresh is not None and fresh.margin == cert.margin
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_every_valid_k_gets_a_certificate(self, m):
+        # valid k have C(n,2) >= k at n = k // m^3, so n >= 2m^3 + 1; the
+        # smallest is k = m^3 (2m^3 + 1), and the rest are drawn up to 10^5
+        rng = random.Random(m)
+        low = m ** 3 * (2 * m ** 3 + 1)
+        ks = [low] + [rng.randint(low, 100_000) for _ in range(12)]
+        for k in ks:
+            n = k // m ** 3
+            if comb(n, 2) < k:
+                continue
+            seq, _, cert = general_lower_sequence(TargetGraph.complete(m), k)
+            assert seq.n == n and cert.verify(), k
+
     def test_too_small_k(self):
         with pytest.raises(RangeError):
             general_lower_sequence(TargetGraph.complete(3), 27)

@@ -19,6 +19,17 @@ def run(*args) -> int:
     return main([str(a) for a in args])
 
 
+def _all_distinct(tmp_path, n: int):
+    """Write K_n with every edge in a colour of its own; return the path."""
+    colours = {}
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            colours[(u, v)] = len(colours) + 1
+    path = tmp_path / f"distinct{n}.col"
+    write_colouring(Colouring.from_edge_colours(n, len(colours), colours), path)
+    return path
+
+
 class TestConstructCommand:
     def test_greedy_round_trip(self, tmp_path, capsys):
         col = tmp_path / "out.col"
@@ -120,21 +131,24 @@ class TestVerifyCommand:
     def test_sampler_rescues_tiny_budget(self, tmp_path, capsys):
         # all-distinct colours: every K4 is rainbow; with a starved search
         # budget the seeded sampler still produces a witness
-        import numpy as np
-        from gallaikit.core import Colouring
-        n = 8
-        m = np.zeros((n, n), dtype=np.int32)
-        c = 1
-        for u in range(n - 1):
-            for v in range(u + 1, n):
-                m[u, v] = m[v, u] = c
-                c += 1
-        col_path = tmp_path / "dist.col"
-        write_colouring(Colouring(n, c - 1, m), col_path)
+        col_path = _all_distinct(tmp_path, 8)
         code = run("--seed", "7", "verify", "--colouring", col_path,
                    "--target", "builtin:K4", "--budget", "1")
         assert code == 2
         assert "RAINBOW" in capsys.readouterr().out
+
+    def test_k3_without_certificate_prints_triangle(self, tmp_path, capsys):
+        code = run("verify", "--colouring", _all_distinct(tmp_path, 4), "--target", "builtin:K3")
+        assert code == 2
+        assert capsys.readouterr().out == "TRIANGLE 1 2 3\n"
+
+    def test_starved_search_without_sampler_is_inconclusive(self, tmp_path, capsys):
+        # C4 is not complete, so no sampler backs up the one-node search
+        code = run("verify", "--colouring", _all_distinct(tmp_path, 6),
+                   "--target", "builtin:C4", "--budget", "1")
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and err == "inconclusive: rainbow search hit its node budget\n"
 
     def test_counts_checked_against_sequence(self, tmp_path, capsys):
         col = tmp_path / "out.col"
@@ -169,6 +183,11 @@ class TestCertifyCommand:
         assert code == 0
         assert "TRIANGLEHARD 1000 1203" in capsys.readouterr().out
         assert read_infeasibility(out).n == 1203
+
+    def test_triangle_margin_fails(self, capsys):
+        # k = 283 is the first k whose hard sequence exists and whose margin fails
+        assert run("certify", "--kind", "triangle", "--k", "283") == 2
+        assert capsys.readouterr().err == "no certificate: the inequality does not hold\n"
 
     def test_triangle_k100_out_of_range(self, capsys):
         code = run("certify", "--kind", "triangle", "--k", "100")

@@ -294,6 +294,12 @@ class TestConstructGreedy:
         assert res.status == "certificate" and res.nodes == 48
         assert res.certificate.metadata == {"strategy": "greedy"}
 
+    def test_search_gives_up_past_its_node_budget(self):
+        # the same sequence needs 48 nodes; at 10 the search stops on node 11
+        n, e = 48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102)
+        res = construct_greedy(n, DistributionSequence.of(n, e), node_budget=10)
+        assert (res.status, res.nodes, res.certificate) == ("giveup", 11, None)
+
 
 def _gamma_sequence(rng: random.Random, n: int, k: int, shape: float) -> DistributionSequence:
     """C(n,2) cut into k parts at the rounded prefix sums of gamma weights."""
@@ -317,6 +323,17 @@ class TestMaxSplitDescent:
                 assert _max_step_size(x, budget) == max(fits, default=0), (x, budget)
                 below = [t for t in fits if t <= (x - 1) // 2]
                 assert min(_max_step_size(x, budget), (x - 1) // 2) == max(below, default=0)
+
+    def test_step_size_by_linear_scan_to_x_200(self):
+        # every budget from x-1, where t = 1 first fits, to past x^2/4, where
+        # t = x/2 fits; the largest fitting t grows with the budget, so one
+        # upward scan per x gives it
+        for x in range(2, 200):
+            t = 1
+            for budget in range(x - 1, x * x // 4 + 2):
+                while t + 1 <= x // 2 and (t + 1) * (x - t - 1) <= budget:
+                    t += 1
+                assert _max_step_size(x, budget) == t, (x, budget)
 
     def test_block_of_two_splits(self):
         st = SplitState.synthetic([2, 2], [1, 1])

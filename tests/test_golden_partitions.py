@@ -4,7 +4,8 @@ Each case builds one colouring from its seed and pins three things in
 `fixtures/golden_partitions.txt`: a digest of the colouring, the outcome of
 `find_rainbow_triangle` and `find_gallai_partition` (the rainbow-triangle
 witness, or else the partition line and whether the "moreover" condition
-holds) and the steps of `peel_splitting_process(col, 1)`.
+holds, computed here from the part sizes: every base colour covers at least
+n-1 inter-part edges) and the steps of `peel_splitting_process(col, 1)`.
 
 Two thirds of the colourings come from recursive substitution: the vertices
 are split into 2-6 consecutive parts, each part pair is joined in one of two
@@ -23,56 +24,23 @@ checkout it runs in.
 from __future__ import annotations
 
 import hashlib
-import random
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from gallaikit.bounds import peel_splitting_process
-from gallaikit.core import Colouring
 from gallaikit.errors import NotGallai
 from gallaikit.verifier import find_gallai_partition, find_rainbow_triangle, partition_line
+
+from conftest import moreover_holds, seeded_colouring
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_partitions.txt"
 CASES = 300
 
 
-def _substitute(rng: random.Random, m: np.ndarray, verts: list[int], k: int) -> None:
-    """Colour the edges among verts (0-based) by recursive substitution."""
-    if len(verts) < 2:
-        return
-    cuts = sorted(rng.sample(range(1, len(verts)), min(len(verts), rng.randint(2, 6)) - 1))
-    parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
-    pair = rng.sample(range(1, k + 1), 2)
-    for i in range(len(parts) - 1):
-        for j in range(i + 1, len(parts)):
-            c = rng.choice(pair)
-            for u in parts[i]:
-                for v in parts[j]:
-                    m[u, v] = m[v, u] = c
-    for part in parts:
-        _substitute(rng, m, part, k)
-
-
-def colouring(seed: int) -> Colouring:
-    """Case seed: substitution for seeds not divisible by 3, else uniform."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 14)
-    m = np.zeros((n, n), dtype=np.int32)
-    if seed % 3:
-        k = rng.randint(2, 6)
-        _substitute(rng, m, list(range(n)), k)
-    else:
-        k = rng.randint(2, 4)
-        for u in range(n - 1):
-            for v in range(u + 1, n):
-                m[u, v] = m[v, u] = rng.randint(1, k)
-    return Colouring(n, k, m)
-
-
 def case_line(seed: int) -> str:
-    col = colouring(seed)
+    col = seeded_colouring(seed)
     upper = col.matrix[np.triu_indices(col.n, k=1)].astype(np.int32)
     fields = [f"case={seed}", f"n={col.n}", f"k={col.k}",
               "col=" + hashlib.sha256(upper.tobytes()).hexdigest()[:16]]
@@ -82,7 +50,7 @@ def case_line(seed: int) -> str:
     elif (p := find_gallai_partition(col)) is None:
         fields.append("NO_PARTITION")
     else:
-        fields += [partition_line(p), f"moreover={int(p.moreover_holds)}"]
+        fields += [partition_line(p), f"moreover={int(moreover_holds(col.n, p))}"]
     try:
         steps = peel_splitting_process(col, 1).steps
         fields.append("PEEL " + (";".join(

@@ -213,6 +213,15 @@ class TestExactG:
         assert len(list(n_good_multisets(4, 3))) == 7
         assert len(list(n_good_multisets(4, 1))) == 1
 
+    def test_multisets_against_brute_force(self):
+        for n in range(2, 8):
+            for k in range(1, 5):
+                total = comb(n, 2)
+                want = sorted((e for e in product(range(total + 1), repeat=k)
+                               if sum(e) == total and list(e) == sorted(e, reverse=True)),
+                              reverse=True)
+                assert list(n_good_multisets(n, k)) == want, (n, k)
+
 
 class TestIsRealizableStandard:
     def test_three_singletons(self):

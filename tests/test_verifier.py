@@ -43,7 +43,10 @@ from gallaikit.verifier import (
     verify_gallai_partition,
 )
 
-from conftest import brute_force_rainbow_triangles, random_colouring, random_sequence
+from conftest import (
+    brute_force_rainbow_triangles, moreover_holds, random_colouring, random_sequence,
+    seeded_colouring,
+)
 
 
 def split_k4() -> Colouring:
@@ -202,6 +205,37 @@ class TestRainbowTree:
                 assert embedding_is_rainbow(col, H, emb)
 
 
+def _first_valid_partition(col: Colouring):
+    """(parts, base colours) of the first base set, singletons of the used
+    colours then pairs in colour order, whose non-base components form at
+    least two parts joined in one colour per part pair; None when none is."""
+    n = col.n
+    M = col.matrix.tolist()
+    used = sorted({M[u][v] for u in range(n) for v in range(u + 1, n)})
+    for base in [(c,) for c in used] + list(combinations(used, 2)):
+        root = list(range(n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+        for u in range(n):
+            for v in range(u + 1, n):
+                if M[u][v] not in base:
+                    root[find(v)] = find(u)
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(find(v), []).append(v)
+        parts = sorted(groups.values())
+        if len(parts) < 2:
+            continue
+        between = [{M[u][v] for u in a for v in b} for a, b in combinations(parts, 2)]
+        if all(len(cs) == 1 for cs in between):
+            return (tuple(tuple(v + 1 for v in part) for part in parts),
+                    frozenset(c for cs in between for c in cs))
+    return None
+
+
 class TestGallaiPartition:
     def test_split_k4(self):
         p = find_gallai_partition(split_k4())
@@ -209,7 +243,7 @@ class TestGallaiPartition:
         assert p.parts == ((1, 2), (3, 4))
         assert p.base_colours == frozenset({1})
         assert verify_gallai_partition(split_k4(), p)
-        assert p.moreover_holds
+        assert moreover_holds(4, p)
 
     def test_monochromatic(self):
         col = Colouring.monochromatic(5)
@@ -264,6 +298,41 @@ class TestGallaiPartition:
     def test_partition_serialisation(self):
         p = find_gallai_partition(split_k4())
         assert partition_line(p) == "PARTITION base=1 part=1,2 part=3,4"
+
+    @pytest.mark.parametrize("damage", [
+        dict(parts=((1,), (3, 4))),                      # vertex 2 missing
+        dict(parts=((1, 2), (3, 4), ())),                # an empty part
+        dict(base_colours=frozenset({1, 2, 3})),         # three base colours
+        dict(between_colour={}),                         # part pair without a colour
+        dict(between_colour={(0, 1): 2}),                # colour outside the base set
+    ])
+    def test_damaged_partition_rejected(self, damage):
+        p = find_gallai_partition(split_k4())
+        assert verify_gallai_partition(split_k4(), p)
+        assert not verify_gallai_partition(split_k4(), dataclasses.replace(p, **damage))
+
+    def test_recoloured_inter_part_edge_rejected(self):
+        p = find_gallai_partition(split_k4())
+        col = Colouring.from_edge_colours(
+            4, 3, {(1, 2): 2, (3, 4): 3, (1, 3): 1, (1, 4): 2, (2, 3): 1, (2, 4): 1})
+        assert not verify_gallai_partition(col, p)
+
+    def test_first_valid_base_set_covers_n_minus_1(self):
+        # the partition is the first valid candidate, found here by union-find,
+        # and each of its base colours covers >= n-1 crossing edges; seeds not
+        # divisible by 3 give Gallai substitutions, the others uniform colourings
+        partitions = 0
+        for seed in range(300, 2400):
+            col = seeded_colouring(seed)
+            want = _first_valid_partition(col)
+            p = find_gallai_partition(col)
+            if want is None:
+                assert p is None, seed
+                continue
+            partitions += 1
+            assert (p.parts, p.base_colours) == want, seed
+            assert moreover_holds(col.n, p), seed
+        assert partitions >= 1500
 
     def test_callers_share_one_routine(self):
         assert cli.find_gallai_partition is verifier.find_gallai_partition
