@@ -13,24 +13,17 @@ import sys
 
 from . import bounds, oracle
 from .core import (
-    STANDARD_DEGENERACY,
     DistributionSequence,
     TargetGraph,
     balanced_sequence,
     colour_counts,
-    degeneracy,
     is_n_good,
     read_colouring,
     read_sequence,
     read_target,
     write_colouring,
 )
-from .constructor import (
-    construct,
-    construct_greedy,
-    read_certificate,
-    write_certificate,
-)
+from .constructor import construct, read_certificate, write_certificate
 from .errors import (
     GallaiKitError,
     NotConstructed,
@@ -143,13 +136,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--target", default="builtin:K3")
-    p.add_argument("--budget", type=_positive_int, default=5_000_000,
+    p.add_argument("--budget", type=_positive_int, default=oracle.SEQUENCE_NODE_BUDGET,
                    help="node budget per sequence for the exhaustive search, which decides "
                         "the rows the standard search does not realise (every row of a forest "
                         "target); the standard search decides the rest")
     p.add_argument("--total-budget", type=_positive_int, default=oracle.TOTAL_NODE_BUDGET,
-                   help="node budget for the whole table: exhaustive search nodes plus "
-                        "states the standard search expands")
+                   help="node budget for the whole command: exhaustive search nodes plus "
+                        "states the standard search expands; once it is spent the rest of "
+                        "the current n is inconclusive and no larger n is tabled")
     p.add_argument("--out-dir", default=".")
     return parser
 
@@ -311,8 +305,6 @@ def _cmd_oracle(args) -> int:
     report = oracle.exact_g(H, args.k, args.n_max,
                             node_budget_per_seq=args.budget,
                             total_node_budget=args.total_budget)
-    # a greedy certificate only rules out a rainbow cycle, so forests skip it
-    use_greedy = degeneracy(H) >= STANDARD_DEGENERACY
     disagreements = 0
     with open(table_path, "w", encoding="utf-8") as tf, \
             open(agree_path, "w", encoding="utf-8") as af:
@@ -326,22 +318,17 @@ def _cmd_oracle(args) -> int:
             for line in report.table_lines(n):
                 tf.write(line + "\n")
             for row in report.per_n[n]:
-                seq = DistributionSequence(n, args.k, row.e)
-                greedy = construct_greedy(n, seq).status if use_greedy else "-"
                 clash = "-"
                 if n >= H.m >= 3:
+                    seq = DistributionSequence(n, args.k, row.e)
                     clash = "forced" if bounds.clash_bound_check(seq, H.m) else "open"
                 agree = "yes"
                 if row.status == oracle.REALIZABLE and clash == "forced":
                     agree = "NO(clash)"
-                # UNREALIZABLE comes only from the exhaustive search, which is
-                # independent of the constructors, so a certificate contradicts it
-                if greedy == "certificate" and row.status == oracle.UNREALIZABLE:
-                    agree = "NO(greedy)"
-                if agree != "yes":
                     disagreements += 1
-                af.write(" ".join(str(x) for x in row.e) +
-                         f" oracle={row.status} greedy={greedy} clash={clash} agree={agree}\n")
+                # greedy= is the constructors' standard search, run by exact_g
+                af.write(" ".join(str(x) for x in row.e) + f" oracle={row.status} "
+                         f"greedy={row.standard} clash={clash} agree={agree}\n")
         af.write(f"# disagreements={disagreements}\n")
     print(table_path)
     print(agree_path)

@@ -14,7 +14,9 @@ A table (`exact_g`) first asks the constructors' standard search
 contains a cycle: a standard colouring has no rainbow cycle, so a row it
 realises is realizable. The exhaustive search decides the other rows, those
 with no standard colouring and every row of a forest target, and is the only
-source of a definite no.
+source of a definite no. Each row keeps the standard search's status, which
+`gallaikit oracle` reports as the constructors' verdict, so no row is decided
+twice.
 
 Only `is_realizable` is deliberately independent of the constructors it
 cross-checks; `is_realizable_standard` is the constructors' own search run
@@ -41,6 +43,8 @@ INCONCLUSIVE = "inconclusive"
 
 # exact_g's budget per table: exhaustive search nodes plus standard search states
 TOTAL_NODE_BUDGET = 100_000_000
+# is_realizable's budget per sequence, and so per row of an exact_g table
+SEQUENCE_NODE_BUDGET = 5_000_000
 
 
 @dataclass
@@ -134,7 +138,7 @@ def _clash_test(H: TargetGraph, n: int):
 
 
 def is_realizable(seq: DistributionSequence, H: TargetGraph,
-                  node_budget: int = 5_000_000,
+                  node_budget: int = SEQUENCE_NODE_BUDGET,
                   use_symmetry: bool = True) -> OracleResult:
     """Decide by exhaustive backtracking whether some rainbow-H-free colouring
     has exactly the given colour counts.
@@ -345,6 +349,8 @@ def n_good_multisets(n: int, k: int):
 class SequenceVerdict:
     e: tuple[int, ...]
     status: str
+    # standard_search's status ("certificate" / "infeasible"), "-" if not run
+    standard: str = "-"
 
 
 @dataclass
@@ -367,11 +373,10 @@ class ExactGReport:
         [N, n_max]. Finite n_max cannot certify behaviour beyond it, so this
         is a computed observation, not a proof about larger n."""
         best = None
-        for n in sorted(self.per_n, reverse=True):
-            if self.all_realizable(n):
-                best = n
-            else:
+        for n in range(self.n_max, 1, -1):
+            if n not in self.per_n or not self.all_realizable(n):
                 break
+            best = n
         return best
 
     def table_lines(self, n: int) -> list[str]:
@@ -382,17 +387,20 @@ class ExactGReport:
 
 
 def exact_g(H: TargetGraph, k: int, n_max: int,
-            node_budget_per_seq: int = 5_000_000,
+            node_budget_per_seq: int = SEQUENCE_NODE_BUDGET,
             total_node_budget: int = TOTAL_NODE_BUDGET) -> ExactGReport:
     """For each n <= n_max, decide every n-good sequence (as a descending
     multiset; realizability is permutation-invariant).
 
-    When H contains a cycle (degeneracy >= 2), a row that the standard search
-    realises is realizable; its memo is shared by all rows of this call. The
-    exhaustive search `is_realizable`, under node_budget_per_seq, decides the
-    other rows. total_node_budget bounds the standard search's memo misses
-    plus the exhaustive search's nodes. Budget exhaustion leaves inconclusive
-    entries and flags the report as partial."""
+    When H contains a cycle (degeneracy >= 2), the standard search runs on
+    every row, with one memo shared by all rows of this call; a row it
+    realises is realizable, and its status is kept as the row's `standard`.
+    The exhaustive search `is_realizable`, under node_budget_per_seq, decides
+    the other rows. total_node_budget bounds the standard search's memo
+    misses plus the exhaustive search's nodes. Once it is spent, the rest of
+    the current n is left inconclusive, no larger n is enumerated, and the
+    report is flagged partial; a sequence that exhausts node_budget_per_seq
+    is inconclusive and flags it partial too."""
     if k < 1:
         raise PreconditionViolation(f"need k >= 1, got k={k}")
     if n_max < 2:
@@ -408,19 +416,23 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
                 rows.append(SequenceVerdict(e, INCONCLUSIVE))
                 report.partial = True
                 continue
+            standard = "-"
             if cyclic:
-                status, nodes = standard_search(n, e, memo)
+                standard, nodes = standard_search(n, e, memo)
                 spent += nodes
-                if status == "certificate":
-                    rows.append(SequenceVerdict(e, REALIZABLE))
+                if standard == "certificate":
+                    rows.append(SequenceVerdict(e, REALIZABLE, standard))
                     continue
             res = is_realizable(DistributionSequence(n, k, e), H,
                                 node_budget=node_budget_per_seq)
             spent += res.nodes
             if res.status == INCONCLUSIVE:
                 report.partial = True
-            rows.append(SequenceVerdict(e, res.status))
+            rows.append(SequenceVerdict(e, res.status, standard))
         report.per_n[n] = rows
+        if spent >= total_node_budget and n < n_max:
+            report.partial = True
+            break
     return report
 
 

@@ -1,5 +1,8 @@
+from math import isqrt
+
 import pytest
 
+from gallaikit import cli, constructor
 from gallaikit.cli import main
 from gallaikit.bounds import read_infeasibility
 from gallaikit.core import (
@@ -12,11 +15,26 @@ from gallaikit.core import (
     write_sequence,
     write_target,
 )
+from gallaikit.constructor import construct_greedy
+from gallaikit.oracle import n_good_multisets
 from gallaikit.verifier import embedding_is_rainbow, find_rainbow_subgraph
 
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+def _agreement_rows(path):
+    """(n, e, fields) per row of an agreement report; n is read off sum(e)."""
+    rows = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        words = line.split()
+        e = tuple(int(x) for x in words if "=" not in x)
+        fields = dict(w.split("=", 1) for w in words if "=" in w)
+        rows.append(((1 + isqrt(1 + 8 * sum(e))) // 2, e, fields))
+    return rows
 
 
 def _all_distinct(tmp_path, n: int):
@@ -351,6 +369,48 @@ class TestOracleCommand:
         assert (out / "realizability_p3.txt_k2.txt").read_text().startswith(
             "# target=p3.txt k=2 n_max=4\n")
         assert (out / "agreement_p3.txt_k2.txt").exists()
+
+    # the benchmark's oracle tables, and a forest
+    @pytest.mark.parametrize("target, k, n_max", [
+        ("builtin:K3", 4, 8), ("builtin:K3", 5, 6), ("builtin:C4", 4, 7),
+        ("builtin:C4", 5, 5), ("builtin:K4", 6, 6), ("p4.txt", 3, 6)])
+    def test_greedy_column_is_the_constructors_verdict(self, tmp_path, target, k, n_max):
+        name = target.split(":")[-1].lower()
+        forest = not target.startswith("builtin:")
+        if forest:
+            write_target(TargetGraph.path(4), tmp_path / target)
+            target = tmp_path / target
+        code = run("oracle", "--target", target, "--k", k, "--n-max", n_max,
+                   "--out-dir", tmp_path)
+        assert code == 0
+        rows = _agreement_rows(tmp_path / f"agreement_{name}_k{k}.txt")
+        assert len(rows) == sum(len(list(n_good_multisets(n, k))) for n in range(2, n_max + 1))
+        for n, e, fields in rows:
+            want = "-" if forest else construct_greedy(n, DistributionSequence(n, k, e)).status
+            assert fields["greedy"] == want, e
+
+    def test_total_budget_bounds_the_whole_command(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = constructor.construct_greedy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (constructor, cli):
+            if hasattr(mod, "construct_greedy"):
+                monkeypatch.setattr(mod, "construct_greedy", counting)
+        code = run("oracle", "--k", "3", "--n-max", "24", "--total-budget", "1000",
+                   "--out-dir", tmp_path)
+        assert code == 3 and "PARTIAL" in capsys.readouterr().err
+        assert calls == []
+        skipped = [f for _, _, f in _agreement_rows(tmp_path / "agreement_k3_k3.txt")
+                   if f["oracle"] == "inconclusive"]
+        assert skipped and all(f["greedy"] == "-" for f in skipped)
+        # no n is tabled after the one where the budget ran out
+        table = (tmp_path / "realizability_k3_k3.txt").read_text().splitlines()
+        first_skipped = next(i for i, ln in enumerate(table) if ln.endswith("INCONCLUSIVE"))
+        assert not any(ln.startswith("# n=") for ln in table[first_skipped:])
 
     @pytest.mark.parametrize("H, name", [(TargetGraph.path(3), "p3.txt"),
                                          (TargetGraph.complete(2), "k2.txt")])

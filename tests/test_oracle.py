@@ -9,6 +9,7 @@ from gallaikit.core import DistributionSequence, TargetGraph, balanced_sequence,
 from gallaikit.constructor import construct_greedy
 from gallaikit.errors import PreconditionViolation
 from gallaikit.oracle import (
+    INCONCLUSIVE,
     REALIZABLE,
     UNREALIZABLE,
     _clash_test,
@@ -207,6 +208,46 @@ class TestExactG:
             lines.extend(rep.table_lines(n))
         fixture = (FIXTURES / "realizability_k3_k3_n6.txt").read_text().splitlines()
         assert lines == fixture
+
+    @pytest.mark.parametrize("H", [K3, TargetGraph.cycle(4), TargetGraph.path(3)],
+                             ids=["K3", "C4", "P3"])
+    def test_rows_keep_the_standard_verdict(self, H):
+        # the shared memo gives each row the verdict a memo of its own gives;
+        # a forest row never runs the standard search
+        rep = exact_g(H, 3, 6)
+        for n, rows in rep.per_n.items():
+            for row in rows:
+                if H.m == 3 and len(H.edges) == 2:
+                    want = "-"
+                else:
+                    standard = is_realizable_standard(DistributionSequence(n, 3, row.e))
+                    want = "certificate" if standard else "infeasible"
+                assert row.standard == want, (n, row.e)
+
+    def test_spent_budget_ends_the_table(self):
+        # at every total budget: the rows decided agree with the full table,
+        # only the last n holds inconclusive rows, and those end it; a table
+        # that stops short of n_max is partial and certifies no threshold
+        full = exact_g(K3, 3, 7)
+        assert not full.partial and max(full.per_n) == 7
+        for budget in range(1, 120):
+            rep = exact_g(K3, 3, 7, total_node_budget=budget)
+            last = max(rep.per_n)
+            for n in range(2, last + 1):
+                rows = rep.per_n[n]
+                assert [r.e for r in rows] == [r.e for r in full.per_n[n]]
+                skipped = [r.status == INCONCLUSIVE for r in rows]
+                assert n == last or not any(skipped), budget
+                assert skipped == sorted(skipped), budget
+                for row, want in zip(rows, full.per_n[n]):
+                    if row.status == INCONCLUSIVE:
+                        assert row.standard == "-"
+                    else:
+                        assert row == want
+            cut = last < 7 or any(r.status == INCONCLUSIVE for r in rep.per_n[7])
+            assert rep.partial == cut, budget
+            assert rep.least_all_realizable_from == (None if cut else
+                                                     full.least_all_realizable_from)
 
     def test_multiset_enumeration_counts(self):
         # descending multisets of C(4,2)=6 into at most 3 parts
