@@ -32,7 +32,6 @@ from .bounds import (
     InfeasibilityCertificate,
     clash_bound_check,
     peel_splitting_process,
-    sample_rainbow_km,
     tree_forced_check,
     tree_threshold,
     triangle_hard_sequence,
@@ -49,7 +48,7 @@ __all__ = [
     "find_gallai_partition", "find_rainbow_subgraph", "find_rainbow_triangle",
     "verify_certificate",
     "InfeasibilityCertificate", "clash_bound_check", "peel_splitting_process",
-    "sample_rainbow_km", "tree_forced_check", "tree_threshold",
+    "tree_forced_check", "tree_threshold",
     "triangle_hard_sequence", "triangle_infeasibility_check",
 ]
 

@@ -7,7 +7,6 @@ width, so a reported certificate is rigorous outright.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -23,7 +22,7 @@ from .core import (
 )
 from .constructor import StageConstants, floor_root
 from .errors import NotGallai, PreconditionViolation, RangeError
-from .verifier import Embedding, find_gallai_partition, find_rainbow_triangle
+from .verifier import find_gallai_partition, find_rainbow_triangle
 
 KIND_RAINBOW_KM = "RainbowKmForced"
 KIND_TREE = "TreeForced"
@@ -149,22 +148,6 @@ def clash_bound_check(seq: DistributionSequence, m: int) -> InfeasibilityCertifi
     if lhs < rhs:
         return InfeasibilityCertificate(KIND_RAINBOW_KM, seq.k, n, m,
                                         lhs, 0, 0, rhs - lhs)
-    return None
-
-
-def sample_rainbow_km(col: Colouring, m: int, trials: int,
-                      rng: random.Random | None = None) -> Embedding | None:
-    """Uniform random m-subsets; returns the first that induces a rainbow K_m,
-    or None after the given trials (inconclusive, not a proof of absence)."""
-    if m > col.n:
-        raise PreconditionViolation(f"m={m} exceeds n={col.n}")
-    rng = rng or random.Random(0)
-    M = col.matrix
-    verts = list(range(col.n))
-    for _ in range(trials):
-        u = sorted(rng.sample(verts, m))
-        if len({int(M[a, b]) for i, a in enumerate(u) for b in u[i + 1:]}) == comb(m, 2):
-            return Embedding(tuple(v + 1 for v in u))
     return None
 
 

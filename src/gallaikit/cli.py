@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from . import bounds, oracle
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .verifier import (
     find_gallai_partition,
+    find_rainbow_clique,
     find_rainbow_subgraph,
     partition_line,
     proves_rainbow_free,
@@ -102,8 +102,6 @@ def _positive_int(text: str) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gallaikit", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized witness sampler")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a rainbow-free colouring")
@@ -121,7 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cert")
     p.add_argument("--seq")
     p.add_argument("--budget", type=_positive_int, default=2_000_000,
-                   help="node budget for the rainbow search")
+                   help="node budget for the rainbow search: rainbow K_j, 3 <= j < m, extended "
+                        "for a complete target K_m, else vertices placed for the target")
 
     p = sub.add_parser("certify", help="produce an infeasibility certificate")
     p.add_argument("--kind", required=True, choices=["triangle", "clash", "tree", "general"])
@@ -190,9 +189,9 @@ def _cmd_verify(args) -> int:
     - one rainbow-triangle scan settles every target that is not a forest
       when it finds no rainbow triangle. For K3 the triangle it finds is the
       witness.
-    Otherwise the backtracking search runs under --budget, then the K_m
-    sampler when that runs out. A K3 verify at 2 <= n <= 64 that ends in a
-    proof also prints a Gallai partition.
+    Otherwise a search runs under --budget: the exact clique search for a
+    complete target, the backtracking search for any other. A K3 verify at
+    2 <= n <= 64 that ends in a proof also prints a Gallai partition.
     """
     col = read_colouring(args.colouring)
     counts = colour_counts(col)
@@ -232,19 +231,13 @@ def _cmd_verify(args) -> int:
                 assert p is not None, "Gallai colouring without a partition (internal bug)"
                 print(partition_line(p))
         elif proof is None:
-            hit = find_rainbow_subgraph(col, H, node_budget=args.budget)
+            complete = len(H.edges) == H.m * (H.m - 1) // 2
+            hit = (find_rainbow_clique(col, H.m, args.budget) if complete
+                   else find_rainbow_subgraph(col, H, args.budget))
             if hit.found:
                 failures.append(hit.embedding.witness_line("RAINBOW"))
             elif hit.status == "inconclusive":
-                # sampling can still prove presence, never absence
-                w = None
-                if len(H.edges) == H.m * (H.m - 1) // 2:
-                    w = bounds.sample_rainbow_km(col, H.m, trials=2000,
-                                                 rng=random.Random(args.seed))
-                if w is not None:
-                    failures.append(w.witness_line("RAINBOW"))
-                else:
-                    inconclusive.append("rainbow search hit its node budget")
+                inconclusive.append("rainbow search hit its node budget")
 
     for line in failures:
         print(line)
@@ -349,10 +342,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return _cmd_certify(args)
         return _cmd_oracle(args)
-    except _UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionViolation, ValueError, OSError) as ex:
+    except (_UsageError, PreconditionViolation, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except GallaiKitError as ex:

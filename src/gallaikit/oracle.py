@@ -395,12 +395,13 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     When H contains a cycle (degeneracy >= 2), the standard search runs on
     every row, with one memo shared by all rows of this call; a row it
     realises is realizable, and its status is kept as the row's `standard`.
-    The exhaustive search `is_realizable`, under node_budget_per_seq, decides
-    the other rows. total_node_budget bounds the standard search's memo
-    misses plus the exhaustive search's nodes. Once it is spent, the rest of
-    the current n is left inconclusive, no larger n is enumerated, and the
-    report is flagged partial; a sequence that exhausts node_budget_per_seq
-    is inconclusive and flags it partial too."""
+    The exhaustive search `is_realizable` decides the other rows, each under
+    node_budget_per_seq or what is left of total_node_budget if less; the
+    total bounds the standard search's memo misses plus the exhaustive
+    search's nodes. Once it is spent, the rest of the current n is left
+    inconclusive, no larger n is enumerated, and the report is flagged
+    partial; a sequence that exhausts its budget is inconclusive and flags
+    it partial too."""
     if k < 1:
         raise PreconditionViolation(f"need k >= 1, got k={k}")
     if n_max < 2:
@@ -424,7 +425,7 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
                     rows.append(SequenceVerdict(e, REALIZABLE, standard))
                     continue
             res = is_realizable(DistributionSequence(n, k, e), H,
-                                node_budget=node_budget_per_seq)
+                                node_budget=min(node_budget_per_seq, total_node_budget - spent))
             spent += res.nodes
             if res.status == INCONCLUSIVE:
                 report.partial = True

@@ -1,9 +1,9 @@
 """Rainbow-substructure searches, Gallai partitions, certificate checks.
 
 All searches are deterministic and return the lexicographically least witness
-under vertex order, so test fixtures are reproducible. One backtracking
-search, find_rainbow_subgraph, serves every target, forests included; K3
-also has its own scan.
+under vertex order, so test fixtures are reproducible. find_rainbow_clique is
+exact for complete targets, with the triangle scan as its first level; one
+backtracking search, find_rainbow_subgraph, serves every target.
 """
 from __future__ import annotations
 
@@ -60,10 +60,24 @@ class SubgraphSearch:
 
 
 def find_rainbow_triangle(col: Colouring) -> Embedding | None:
-    """Lexicographically least triple (u,v,w) with three distinct edge colours,
-    or None when the colouring is a Gallai colouring."""
-    n = col.n
-    M = col.matrix
+    """The least rainbow triangle, or None when col is a Gallai colouring."""
+    return find_rainbow_clique(col, 3).embedding
+
+
+def find_rainbow_clique(col: Colouring, m: int,
+                        node_budget: int | None = None) -> SubgraphSearch:
+    """Exact search for the lexicographically least rainbow K_m, the embedding
+    find_rainbow_subgraph returns. Every rainbow K_m holds a rainbow K_{m-1},
+    so the rainbow K_j are walked depth first, the least on top of the stack:
+    the triangle scan's (i, j) mask marks each w closing a rainbow triangle,
+    and one numpy pass over a K_j's rows marks each later vertex whose j edges
+    to it take new, distinct colours. A node is one rainbow K_j, 3 <= j < m,
+    that is extended; past node_budget nodes the search is inconclusive."""
+    n, M, nodes = col.n, col.matrix, 0
+    if m > n:
+        return SubgraphSearch(NONE)
+    if m < 3:  # a vertex or an edge is rainbow
+        return SubgraphSearch(FOUND, Embedding(tuple(range(1, m + 1))))
     for i in range(n - 2):
         row_i = M[i]
         for j in range(i + 1, n - 1):
@@ -71,10 +85,22 @@ def find_rainbow_triangle(col: Colouring) -> Embedding | None:
             a = row_i[j + 1:]
             b = M[j, j + 1:]
             mask = (a != c) & (b != c) & (a != b)
-            if mask.any():
-                w = int(np.argmax(mask)) + j + 1
-                return Embedding((i + 1, j + 1, w + 1))
-    return None
+            if not mask.any():
+                continue
+            stack = [[i, j, w] for w in (np.flatnonzero(mask)[::-1] + j + 1).tolist()]
+            while stack:
+                clique = stack.pop()
+                if len(clique) == m:
+                    return SubgraphSearch(FOUND, Embedding(tuple(v + 1 for v in clique)), nodes)
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return SubgraphSearch(INCONCLUSIVE, nodes_used=node_budget)
+                top = clique[-1] + 1
+                rows = M[clique, top:]
+                ok = np.logical_and.reduce([(rows[p] != rows[q]) & ~(rows == M[u, v]).any(axis=0)
+                                            for (p, u), (q, v) in combinations(enumerate(clique), 2)])
+                stack.extend(clique + [x] for x in (np.flatnonzero(ok)[::-1] + top).tolist())
+    return SubgraphSearch(NONE, nodes_used=nodes)
 
 
 class _BudgetExhausted(Exception):

@@ -19,7 +19,6 @@ from gallaikit.bounds import (
     general_lower_sequence,
     peel_splitting_process,
     read_infeasibility,
-    sample_rainbow_km,
     smallest_certified_k,
     tree_forced_check,
     tree_threshold,
@@ -56,42 +55,6 @@ class TestClashBound:
     def test_precondition(self):
         with pytest.raises(PreconditionViolation):
             clash_bound_check(DistributionSequence.of(2, (1,)), 3)
-
-
-class TestSampleRainbowKm:
-    def test_all_distinct_found_first_try(self):
-        cols = {}
-        c = 1
-        for u in range(1, 7):
-            for v in range(u + 1, 7):
-                cols[(u, v)] = c
-                c += 1
-        col = Colouring.from_edge_colours(6, 15, cols)
-        emb = sample_rainbow_km(col, 3, 1, random.Random(0))
-        assert emb is not None
-
-    def test_monochromatic_never(self):
-        col = Colouring.monochromatic(6)
-        assert sample_rainbow_km(col, 3, 200, random.Random(0)) is None
-
-    def test_clash_bound_colourings_yield_witnesses(self, rng):
-        # distributions under the clash bound force rainbow triangles in every
-        # colouring, so sampling succeeds quickly on random colourings
-        n, k = 7, 21
-        found = 0
-        for trial in range(100):
-            perm = list(range(1, 22))
-            rng.shuffle(perm)
-            cols = {}
-            i = 0
-            for u in range(1, n + 1):
-                for v in range(u + 1, n + 1):
-                    cols[(u, v)] = perm[i]
-                    i += 1
-            col = Colouring.from_edge_colours(n, k, cols)
-            if sample_rainbow_km(col, 3, 200, random.Random(trial)) is not None:
-                found += 1
-        assert found == 100
 
 
 class TestTriangleHardSequence:

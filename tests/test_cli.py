@@ -146,14 +146,15 @@ class TestVerifyCommand:
                    "--seq", "balanced", "--k", "3", "--out", col) == 0
         assert run("verify", "--colouring", col, "--target", "builtin:C4") == 0
 
-    def test_sampler_rescues_tiny_budget(self, tmp_path, capsys):
-        # all-distinct colours: every K4 is rainbow; with a starved search
-        # budget the seeded sampler still produces a witness
+    def test_clique_search_needs_one_node_on_distinct_colours(self, tmp_path, capsys):
+        # all-distinct colours: every K4 is rainbow, and the clique search
+        # extends its first rainbow triangle, 1 2 3, at its first node
         col_path = _all_distinct(tmp_path, 8)
-        code = run("--seed", "7", "verify", "--colouring", col_path,
-                   "--target", "builtin:K4", "--budget", "1")
+        code = run("verify", "--colouring", col_path, "--target", "builtin:K4", "--budget", "1")
         assert code == 2
-        assert "RAINBOW" in capsys.readouterr().out
+        assert capsys.readouterr().out == "RAINBOW 1 2 3 4\n"
+        # every command is deterministic: there is no --seed option
+        assert run("--seed", "7", "verify", "--colouring", col_path, "--target", "builtin:K4") == 1
 
     def test_k3_without_certificate_prints_triangle(self, tmp_path, capsys):
         code = run("verify", "--colouring", _all_distinct(tmp_path, 4), "--target", "builtin:K3")
@@ -161,7 +162,8 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == "TRIANGLE 1 2 3\n"
 
     def test_starved_search_without_sampler_is_inconclusive(self, tmp_path, capsys):
-        # C4 is not complete, so no sampler backs up the one-node search
+        # C4 is not complete, so the backtracking search runs, and one node
+        # is too few for it
         code = run("verify", "--colouring", _all_distinct(tmp_path, 6),
                    "--target", "builtin:C4", "--budget", "1")
         out, err = capsys.readouterr()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gallaikit import oracle
 from gallaikit.core import DistributionSequence, TargetGraph, balanced_sequence, colour_counts
 from gallaikit.constructor import construct_greedy
 from gallaikit.errors import PreconditionViolation
@@ -227,7 +228,10 @@ class TestExactG:
     def test_spent_budget_ends_the_table(self):
         # at every total budget: the rows decided agree with the full table,
         # only the last n holds inconclusive rows, and those end it; a table
-        # that stops short of n_max is partial and certifies no threshold
+        # that stops short of n_max is partial and certifies no threshold.
+        # The first inconclusive row may be the one whose exhaustive search
+        # the total cut short, after its standard search ran; the rest are
+        # skipped and run no search at all
         full = exact_g(K3, 3, 7)
         assert not full.partial and max(full.per_n) == 7
         for budget in range(1, 120):
@@ -239,15 +243,34 @@ class TestExactG:
                 skipped = [r.status == INCONCLUSIVE for r in rows]
                 assert n == last or not any(skipped), budget
                 assert skipped == sorted(skipped), budget
-                for row, want in zip(rows, full.per_n[n]):
-                    if row.status == INCONCLUSIVE:
-                        assert row.standard == "-"
-                    else:
+                first = skipped.index(True) if any(skipped) else None
+                for i, (row, want) in enumerate(zip(rows, full.per_n[n])):
+                    if row.status != INCONCLUSIVE:
                         assert row == want
+                    elif i == first:
+                        assert row.standard in ("-", want.standard), budget
+                    else:
+                        assert row.standard == "-", budget
             cut = last < 7 or any(r.status == INCONCLUSIVE for r in rep.per_n[7])
             assert rep.partial == cut, budget
             assert rep.least_all_realizable_from == (None if cut else
                                                      full.least_all_realizable_from)
+
+    def test_total_budget_bounds_the_exhaustive_search(self, monkeypatch):
+        # each exhaustive call gets at most what is left of the total; before,
+        # every call got the full per-row budget, and this table spent 2,052
+        # nodes, 1,390 of them in one call
+        spent = []
+
+        def counted(*args, **kwargs):
+            res = is_realizable(*args, **kwargs)
+            spent.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(oracle, "is_realizable", counted)
+        rep = exact_g(TargetGraph.cycle(4), 5, 7, total_node_budget=1000)
+        assert rep.partial and spent
+        assert sum(spent) <= 1000
 
     def test_multiset_enumeration_counts(self):
         # descending multisets of C(4,2)=6 into at most 3 parts

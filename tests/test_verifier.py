@@ -13,6 +13,7 @@ from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    balanced_sequence,
     read_colouring,
     write_colouring,
     write_sequence,
@@ -33,6 +34,7 @@ from gallaikit.verifier import (
     Embedding,
     embedding_is_rainbow,
     find_gallai_partition,
+    find_rainbow_clique,
     find_rainbow_subgraph,
     find_rainbow_triangle,
     colour_degrees,
@@ -157,6 +159,32 @@ class TestRainbowSubgraph:
         for k in (1, 2, 5):
             col = random_colouring(rng, 4, k)
             assert find_rainbow_subgraph(col, TargetGraph.complete(2)).found
+
+
+class TestRainbowClique:
+    def test_agrees_with_backtracking(self):
+        """Seeded corpus, n <= 9 with 2-12 colours: find_rainbow_clique gives
+        find_rainbow_subgraph's status and embedding on K3, K4 and K5, and
+        find_rainbow_triangle's triangle on K3."""
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(300):
+            col = random_colouring(rng, rng.randint(3, 9), rng.randint(2, 12))
+            for m in (3, 4, 5):
+                got = find_rainbow_clique(col, m)
+                want = find_rainbow_subgraph(col, TargetGraph.complete(m))
+                assert (got.status, got.embedding) == (want.status, want.embedding), m
+                seen.add((m, got.status))
+            assert find_rainbow_clique(col, 3).embedding == find_rainbow_triangle(col)
+        assert seen == {(m, s) for m in (3, 4, 5) for s in ("found", "none")}
+
+    def test_budget_counts_extended_cliques(self):
+        # all-distinct colours: the first rainbow triangle extends at once
+        hit = find_rainbow_clique(all_distinct(7), 5, node_budget=2)
+        assert hit.found and hit.embedding == Embedding((1, 2, 3, 4, 5)) and hit.nodes_used == 2
+        assert find_rainbow_clique(all_distinct(7), 5, node_budget=1).status == "inconclusive"
+        assert find_rainbow_clique(Colouring.monochromatic(3), 4).exhausted
+        assert find_rainbow_clique(Colouring.monochromatic(3), 2).embedding == Embedding((1, 2))
 
 
 class TestColourDegree:
@@ -561,6 +589,16 @@ def _plant_rainbow(col: Colouring, vertices: tuple[int, ...]) -> Colouring:
     return Colouring(col.n, col.k, m)
 
 
+def _late_plant(n: int, k: int, tmp_path):
+    """Write the mindeg3 colouring of the balanced sequence with a rainbow K4
+    planted on its last four vertices, which the peel cannot remove."""
+    col = _plant_rainbow(construct_mindeg3(n, balanced_sequence(n, k)), (n - 3, n - 2, n - 1, n))
+    assert not peels_two_colours(col)
+    path = tmp_path / "planted.col"
+    write_colouring(col, str(path))
+    return path
+
+
 class TestRainbowFreeProofs:
     """verify settles a target from a replayed certificate, the two-colour
     peel or a triangle scan that finds no rainbow triangle, and searches only
@@ -642,6 +680,21 @@ class TestRainbowFreeProofs:
         write_colouring(col, str(col_path))
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 2
         assert capsys.readouterr().out == "RAINBOW 1 50 100 150\n"
+
+    @pytest.mark.parametrize("n, k", [(100, 10), (200, 20)])
+    def test_late_planted_rainbow_k4_is_found(self, n, k, tmp_path, capsys):
+        # the backtracking search, which tries vertices in index order, ran
+        # out of its 2*10^6 nodes on these
+        col_path = _late_plant(n, k, tmp_path)
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4"]) == 2
+        assert capsys.readouterr().out == f"RAINBOW {n - 3} {n - 2} {n - 1} {n}\n"
+
+    def test_starved_clique_search_is_inconclusive(self, tmp_path, capsys):
+        # the clique search meets 5,028 rainbow triangles before this plant
+        col_path = _late_plant(100, 10, tmp_path)
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4",
+                     "--budget", "1000"]) == 3
+        assert capsys.readouterr() == ("", "inconclusive: rainbow search hit its node budget\n")
 
     def test_distinct_colours_stop_the_peel(self, tmp_path, capsys):
         n = 40
