@@ -30,14 +30,7 @@ from .errors import (
     RangeError,
     StructuralMismatch,
 )
-from .verifier import (
-    find_gallai_partition,
-    find_rainbow_clique,
-    find_rainbow_subgraph,
-    partition_line,
-    proves_rainbow_free,
-    verify_certificate,
-)
+from .verifier import find_gallai_partition, partition_line, settle_target, verify_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,16 +175,9 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     """Check a colouring against its sequence, certificate and target.
 
-    The target is settled by the first of these that applies:
-    - a certificate that replays into the colouring proves it has no rainbow
-      cycle, which settles every target that is not a forest;
-    - the two-colour peel settles targets of degeneracy >= 3;
-    - one rainbow-triangle scan settles every target that is not a forest
-      when it finds no rainbow triangle. For K3 the triangle it finds is the
-      witness.
-    Otherwise a search runs under --budget: the exact clique search for a
-    complete target, the backtracking search for any other. A K3 verify at
-    2 <= n <= 64 that ends in a proof also prints a Gallai partition.
+    verifier.settle_target decides the target, its searches under --budget. A
+    K3 verify at 2 <= n <= 64 that finds no rainbow triangle also prints a
+    Gallai partition.
     """
     col = read_colouring(args.colouring)
     counts = colour_counts(col)
@@ -221,23 +207,17 @@ def _cmd_verify(args) -> int:
 
     if args.target:
         H = _load_target(args.target)
-        proof, triangle = proves_rainbow_free(col, H, cert_ok)
-        if H.m == 3 and len(H.edges) == 3:
-            if triangle is not None:
-                failures.append(triangle.witness_line("TRIANGLE"))
-            elif 2 <= col.n <= 64:
-                # proof is "certificate" or "gallai": col is Gallai
-                p = find_gallai_partition(col)
-                assert p is not None, "Gallai colouring without a partition (internal bug)"
-                print(partition_line(p))
-        elif proof is None:
-            complete = len(H.edges) == H.m * (H.m - 1) // 2
-            hit = (find_rainbow_clique(col, H.m, args.budget) if complete
-                   else find_rainbow_subgraph(col, H, args.budget))
-            if hit.found:
-                failures.append(hit.embedding.witness_line("RAINBOW"))
-            elif hit.status == "inconclusive":
-                inconclusive.append("rainbow search hit its node budget")
+        triangle = H == TargetGraph.complete(3)
+        hit = settle_target(col, H, cert_ok, args.budget)
+        if hit.found:
+            failures.append(hit.embedding.witness_line("TRIANGLE" if triangle else "RAINBOW"))
+        elif hit.status == "inconclusive":
+            inconclusive.append("rainbow search hit its node budget")
+        elif triangle and 2 <= col.n <= 64:
+            # no rainbow triangle: col is Gallai
+            p = find_gallai_partition(col)
+            assert p is not None, "Gallai colouring without a partition (internal bug)"
+            print(partition_line(p))
 
     for line in failures:
         print(line)

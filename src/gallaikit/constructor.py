@@ -643,7 +643,8 @@ def standard_search(n: int, e, memo: dict, node_budget: int | None = None) -> tu
     state, (sorted block sizes, sorted nonzero budgets), to the (t, budget)
     it took towards a full colouring, or to None when no step leads to one;
     it may be shared by many calls, and standard_certificate reads a found
-    colouring off it. Each memo miss is one node.
+    colouring off it. Each memo miss is one node; a search that gives up
+    reports node_budget nodes.
     """
     # One [key, untried moves, move taken] frame per state being expanded.
     # An explicit stack, not recursion: a search can be n steps deep.
@@ -654,7 +655,7 @@ def standard_search(n: int, e, memo: dict, node_budget: int | None = None) -> tu
         if key[0] and key not in memo:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return "giveup", nodes
+                return "giveup", node_budget
             stack.append([key, _moves(*key), None])
         elif not key[0] or memo[key] is not None:
             for frame in stack:
@@ -773,13 +774,13 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
     One chain of links, each tried only where its proof covers H: the trivial
     fill when H does not fit in K_n; mindeg3 at degeneracy >= 3 and n >= 2k;
     staged, then greedy or the clash bound, at degeneracy >= 2; and for
-    forests the forest step, which returns a colouring only after an
-    exhaustive search finds no rainbow copy of H in it. Raises NotConstructed
-    (with the reason chain) when no link succeeds and no infeasibility
-    certificate applies.
+    forests the forest step, which returns a colouring only after
+    verifier.settle_target finds no rainbow copy of H in it. Raises
+    NotConstructed (with the reason chain) when no link succeeds and no
+    infeasibility certificate applies.
     """
     from . import bounds
-    from .verifier import find_rainbow_subgraph
+    from .verifier import settle_target
 
     _require_good(n, seq)
     deg = degeneracy(H)
@@ -837,7 +838,7 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
         cert = None
         col = lex_colouring(seq)
         attempt = "lex-fill"
-    search = find_rainbow_subgraph(col, H)
+    search = settle_target(col, H, cert_ok=False)
     if search.exhausted:
         return ConstructionResult("ok", col, cert, attempt,
                                   reasons=["verified rainbow-free explicitly"])

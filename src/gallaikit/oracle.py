@@ -151,7 +151,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
     shrink the third edge's domain to that pair; for any other H, a colour is
     refused when it completes a rainbow copy of H through the new edge. A
     witness colouring is returned when realizable; exhausting node_budget
-    yields inconclusive, never a definite no.
+    yields inconclusive with node_budget nodes, never a definite no.
 
     use_symmetry switches two symmetry rules on together, and skipped
     colours are not counted as nodes. The colour rule tries unused colours
@@ -318,7 +318,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
     try:
         hit = assign(0)
     except _OutOfBudget:
-        return OracleResult(INCONCLUSIVE, nodes=nodes)
+        return OracleResult(INCONCLUSIVE, nodes=node_budget)
     if not hit:
         return OracleResult(UNREALIZABLE, nodes=nodes)
     return OracleResult(REALIZABLE, Colouring(n, k, np.array(M, dtype=np.int32)), nodes)
@@ -349,7 +349,7 @@ def n_good_multisets(n: int, k: int):
 class SequenceVerdict:
     e: tuple[int, ...]
     status: str
-    # standard_search's status ("certificate" / "infeasible"), "-" if not run
+    # standard_search's status ("certificate" / "infeasible" / "giveup"), "-" if not run
     standard: str = "-"
 
 
@@ -393,8 +393,9 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     multiset; realizability is permutation-invariant).
 
     When H contains a cycle (degeneracy >= 2), the standard search runs on
-    every row, with one memo shared by all rows of this call; a row it
-    realises is realizable, and its status is kept as the row's `standard`.
+    every row under what is left of total_node_budget, with one memo shared
+    by all rows of this call; a row it realises is realizable, one it gives
+    up on is inconclusive, and its status is kept as the row's `standard`.
     The exhaustive search `is_realizable` decides the other rows, each under
     node_budget_per_seq or what is left of total_node_budget if less; the
     total bounds the standard search's memo misses plus the exhaustive
@@ -419,10 +420,14 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
                 continue
             standard = "-"
             if cyclic:
-                standard, nodes = standard_search(n, e, memo)
+                standard, nodes = standard_search(n, e, memo, total_node_budget - spent)
                 spent += nodes
                 if standard == "certificate":
                     rows.append(SequenceVerdict(e, REALIZABLE, standard))
+                    continue
+                if standard == "giveup":
+                    rows.append(SequenceVerdict(e, INCONCLUSIVE, standard))
+                    report.partial = True
                     continue
             res = is_realizable(DistributionSequence(n, k, e), H,
                                 node_budget=min(node_budget_per_seq, total_node_budget - spent))

@@ -4,6 +4,7 @@ All searches are deterministic and return the lexicographically least witness
 under vertex order, so test fixtures are reproducible. find_rainbow_clique is
 exact for complete targets, with the triangle scan as its first level; one
 backtracking search, find_rainbow_subgraph, serves every target.
+settle_target is the one place that decides a target, by a proof or a search.
 """
 from __future__ import annotations
 
@@ -44,11 +45,13 @@ def embedding_is_rainbow(col: Colouring, H: TargetGraph, emb: Embedding) -> bool
 
 @dataclass
 class SubgraphSearch:
-    """Three-valued search outcome: found / exhaustively none / budget ran out."""
+    """Three-valued search outcome: found / exhaustively none / budget ran out.
+    proof names the settle_target rung that gave none without a search."""
 
     status: str
     embedding: Embedding | None = None
     nodes_used: int = 0
+    proof: str | None = None
 
     @property
     def found(self) -> bool:
@@ -224,33 +227,39 @@ def peels_two_colours(col: Colouring) -> bool:
     return left == 0
 
 
-def proves_rainbow_free(col: Colouring, H: TargetGraph,
-                        cert_ok: bool) -> tuple[str | None, Embedding | None]:
-    """Name the first proof that col has no rainbow copy of H, or None when
-    none applies and only a search can tell; the second item is the rainbow
-    triangle the "gallai" scan found, so a caller never scans twice.
+def settle_target(col: Colouring, H: TargetGraph, cert_ok: bool,
+                  node_budget: int = 1_000_000) -> SubgraphSearch:
+    """Does col hold a rainbow copy of H? The first rung that applies decides;
+    a proof gives none with its name in proof, a search gives its result.
 
     "certificate": cert_ok says a split certificate replayed into col, so col
     is a standard colouring. A cycle crosses the first split that separates
     two of its vertices at least twice, in that split's one colour, so col has
     no rainbow cycle; this settles every H that is not a forest.
+    "colours": col uses fewer distinct colours than H has edges.
     "peel": H has degeneracy >= 3, so it contains a subgraph of minimum
     degree >= 3, and peels_two_colours(col) rules out a rainbow copy of one.
+    A complete H then goes to find_rainbow_clique, which is exact and whose
+    first level is the triangle scan, so no separate scan is made.
     "gallai": H is not a forest and find_rainbow_triangle finds no rainbow
     triangle. Then col has no rainbow cycle: a chord of a shortest rainbow
     cycle of length >= 4 splits it into two arcs, each closed by the chord
     into a shorter cycle. The chord's colour is on at most one arc, so the
     other arc and the chord form a shorter rainbow cycle, a contradiction.
+    Otherwise find_rainbow_subgraph searches under node_budget.
     """
     d = degeneracy(H)
-    if d < STANDARD_DEGENERACY:
-        return None, None
-    if cert_ok:
-        return "certificate", None
+    if cert_ok and d >= STANDARD_DEGENERACY:
+        return SubgraphSearch(NONE, proof="certificate")
+    if sum(1 for count in colour_counts(col) if count) < len(H.edges):
+        return SubgraphSearch(NONE, proof="colours")
     if d >= MINDEG3_DEGENERACY and peels_two_colours(col):
-        return "peel", None
-    tri = find_rainbow_triangle(col)
-    return ("gallai", None) if tri is None else (None, tri)
+        return SubgraphSearch(NONE, proof="peel")
+    if len(H.edges) == H.m * (H.m - 1) // 2:
+        return find_rainbow_clique(col, H.m, node_budget)
+    if d >= STANDARD_DEGENERACY and find_rainbow_triangle(col) is None:
+        return SubgraphSearch(NONE, proof="gallai")
+    return find_rainbow_subgraph(col, H, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from gallaikit import oracle
 from gallaikit.core import DistributionSequence, TargetGraph, balanced_sequence, colour_counts
-from gallaikit.constructor import construct_greedy
+from gallaikit.constructor import construct_greedy, standard_search
 from gallaikit.errors import PreconditionViolation
 from gallaikit.oracle import (
     INCONCLUSIVE,
@@ -229,9 +229,9 @@ class TestExactG:
         # at every total budget: the rows decided agree with the full table,
         # only the last n holds inconclusive rows, and those end it; a table
         # that stops short of n_max is partial and certifies no threshold.
-        # The first inconclusive row may be the one whose exhaustive search
-        # the total cut short, after its standard search ran; the rest are
-        # skipped and run no search at all
+        # The first inconclusive row may be the one whose standard search
+        # (it reads giveup) or exhaustive search the total cut short; the
+        # rest are skipped and run no search at all
         full = exact_g(K3, 3, 7)
         assert not full.partial and max(full.per_n) == 7
         for budget in range(1, 120):
@@ -248,7 +248,7 @@ class TestExactG:
                     if row.status != INCONCLUSIVE:
                         assert row == want
                     elif i == first:
-                        assert row.standard in ("-", want.standard), budget
+                        assert row.standard in ("-", "giveup", want.standard), budget
                     else:
                         assert row.standard == "-", budget
             cut = last < 7 or any(r.status == INCONCLUSIVE for r in rep.per_n[7])
@@ -271,6 +271,39 @@ class TestExactG:
         rep = exact_g(TargetGraph.cycle(4), 5, 7, total_node_budget=1000)
         assert rep.partial and spent
         assert sum(spent) <= 1000
+
+    def test_total_budget_bounds_both_searches(self, monkeypatch):
+        # the standard search runs under what is left of the total too, and
+        # each search that runs out reports the budget it was given: this
+        # table read 47 standard states plus 954 exhaustive nodes, 1,001
+        spent = {"standard": 0, "exhaustive": 0}
+
+        def standard(*args, **kwargs):
+            status, nodes = standard_search(*args, **kwargs)
+            spent["standard"] += nodes
+            return status, nodes
+
+        def exhaustive(*args, **kwargs):
+            res = is_realizable(*args, **kwargs)
+            spent["exhaustive"] += res.nodes
+            return res
+
+        monkeypatch.setattr(oracle, "standard_search", standard)
+        monkeypatch.setattr(oracle, "is_realizable", exhaustive)
+        rep = exact_g(TargetGraph.cycle(4), 5, 7, total_node_budget=1000)
+        assert rep.partial and spent["standard"] and spent["exhaustive"]
+        assert spent["standard"] + spent["exhaustive"] == 1000
+
+    def test_standard_search_giving_up_leaves_the_row_inconclusive(self):
+        rep = exact_g(K3, 3, 7, total_node_budget=10)
+        assert rep.partial and max(rep.per_n) == 4
+        row = rep.per_n[4][[r.e for r in rep.per_n[4]].index((4, 1, 1))]
+        assert (row.status, row.standard) == (INCONCLUSIVE, "giveup")
+
+    def test_spent_search_reports_its_budget(self):
+        res = is_realizable(DistributionSequence.of(7, (7, 7, 7)), TargetGraph.cycle(4),
+                            node_budget=5)
+        assert (res.status, res.nodes) == (INCONCLUSIVE, 5)
 
     def test_multiset_enumeration_counts(self):
         # descending multisets of C(4,2)=6 into at most 3 parts

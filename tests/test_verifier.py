@@ -21,6 +21,7 @@ from gallaikit.core import (
 from gallaikit.constructor import (
     SplitCertificate,
     StepRecord,
+    construct,
     construct_greedy,
     construct_mindeg3,
     read_certificate,
@@ -31,7 +32,9 @@ from gallaikit.constructor import (
 )
 from gallaikit.errors import StructuralMismatch
 from gallaikit.verifier import (
+    NONE,
     Embedding,
+    SubgraphSearch,
     embedding_is_rainbow,
     find_gallai_partition,
     find_rainbow_clique,
@@ -40,7 +43,7 @@ from gallaikit.verifier import (
     colour_degrees,
     partition_line,
     peels_two_colours,
-    proves_rainbow_free,
+    settle_target,
     verify_certificate,
     verify_gallai_partition,
 )
@@ -475,15 +478,16 @@ class TestOneTriangleScan:
     @pytest.fixture
     def scans(self, monkeypatch):
         """Every triangle scan and partition search, in call order, as
-        ("scan", n) and ("partition", n)."""
+        ("scan", n) and ("partition", n). Each find_rainbow_clique call is one
+        scan, its first level; find_rainbow_triangle makes one such call."""
         calls = []
-        for name, tag in (("find_rainbow_triangle", "scan"),
+        for name, tag in (("find_rainbow_clique", "scan"),
                           ("find_gallai_partition", "partition")):
             orig = getattr(verifier, name)
 
-            def counted(col, orig=orig, tag=tag):
+            def counted(col, *args, orig=orig, tag=tag):
                 calls.append((tag, col.n))
-                return orig(col)
+                return orig(col, *args)
 
             for mod in (gallaikit, verifier, bounds, cli):
                 if getattr(mod, name, None) is orig:
@@ -500,11 +504,19 @@ class TestOneTriangleScan:
 
     @pytest.mark.parametrize("n", [8, 70])
     def test_verify_c4_scans_once(self, n, scans, tmp_path, capsys):
+        # four colours: three would settle C4 with no scan at all
         col_path = tmp_path / "c4.col"
         assert main(["construct", "--target", "builtin:C4", "--n", str(n),
-                     "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
+                     "--seq", "balanced", "--k", "4", "--out", str(col_path)]) == 0
         assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 0
         assert scans == [("scan", n)]
+
+    def test_verify_c4_in_three_colours_scans_none(self, scans, tmp_path, capsys):
+        col_path = tmp_path / "c4.col"
+        assert main(["construct", "--target", "builtin:C4", "--n", "70",
+                     "--seq", "balanced", "--k", "3", "--out", str(col_path)]) == 0
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:C4"]) == 0
+        assert scans == []
 
     def test_verify_c4_searches_after_the_scan(self, scans, tmp_path, capsys):
         col_path = tmp_path / "distinct.col"
@@ -544,6 +556,26 @@ class TestOneTriangleScan:
         assert "certificate replay failed" in capsys.readouterr().out
         assert scans == [("scan", 70)]
 
+    @pytest.mark.parametrize("target, gallai_scans, code", [("builtin:K4", 0, 0),
+                                                            ("builtin:C4", 1, 2)])
+    def test_complete_target_skips_the_gallai_scan(self, target, gallai_scans, code, scans,
+                                                   monkeypatch, tmp_path, capsys):
+        # a planted K5 puts rainbow triangles in a Gallai colouring; the clique
+        # search for K4 is the only scan, where the "gallai" scan came first
+        calls = []
+        orig = verifier.find_rainbow_triangle
+
+        def counted(col):
+            calls.append(col.n)
+            return orig(col)
+
+        monkeypatch.setattr(verifier, "find_rainbow_triangle", counted)
+        col_path = tmp_path / "planted.col"
+        write_colouring(_planted_k5(40, 8), str(col_path))
+        assert main(["verify", "--colouring", str(col_path), "--target", target]) == code
+        assert len(calls) == gallai_scans
+        assert scans == [("scan", 40)]
+
     def test_peel_scans_once(self, scans):
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
@@ -553,6 +585,18 @@ class TestOneTriangleScan:
 
 
 K4, K5 = TargetGraph.complete(4), TargetGraph.complete(5)
+
+
+def _planted_k5(n: int, k: int) -> Colouring:
+    """The K3 construction for the balanced sequence with its last five
+    vertices recoloured as a proper 5-edge-colouring of K5: the a-th and b-th
+    of them get colour (a+b) mod 5 + 1, so each of their triangles is rainbow."""
+    col = construct(TargetGraph.complete(3), n, balanced_sequence(n, k)).colouring
+    m = col.matrix.copy()
+    for a, b in combinations(range(5), 2):
+        u, v = n - 5 + a, n - 5 + b
+        m[u, v] = m[v, u] = (a + b) % 5 + 1
+    return Colouring(n, col.k, m)
 
 
 def _random_gallai(rng: random.Random, n: int, k: int) -> Colouring:
@@ -600,25 +644,40 @@ def _late_plant(n: int, k: int, tmp_path):
 
 
 class TestRainbowFreeProofs:
-    """verify settles a target from a replayed certificate, the two-colour
-    peel or a triangle scan that finds no rainbow triangle, and searches only
-    when none of them does."""
+    """settle_target settles a target from a replayed certificate, too few
+    colours, the two-colour peel or a triangle scan that finds no rainbow
+    triangle, and searches only when none of them does."""
 
     def test_certificate_settles_cyclic_targets_only(self):
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
         for H in (TargetGraph.complete(3), TargetGraph.cycle(4), K4):
-            assert proves_rainbow_free(col, H, cert_ok=True) == ("certificate", None)
-        assert proves_rainbow_free(col, TargetGraph.path(4), cert_ok=True) == (None, None)
-        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) == ("gallai", None)
+            assert settle_target(col, H, cert_ok=True) == SubgraphSearch(NONE, proof="certificate")
+        assert settle_target(col, TargetGraph.path(4), cert_ok=True).proof is None
+        # four colours, so the colour count does not settle C4 first
+        seq = DistributionSequence.of(12, (30, 16, 12, 8))
+        col = realize_certificate(construct_greedy(12, seq).certificate)
+        assert settle_target(col, TargetGraph.cycle(4), cert_ok=False) == \
+            SubgraphSearch(NONE, proof="gallai")
+        assert settle_target(col, TargetGraph.path(4), cert_ok=True).found
+
+    def test_too_few_colours_settle_any_target(self):
+        # three colours cannot make a rainbow copy of a graph with four edges
+        # or more, forests included; three edges need the search
+        seq = DistributionSequence.of(12, (30, 20, 16))
+        col = realize_certificate(construct_greedy(12, seq).certificate)
+        for H in (TargetGraph.cycle(4), K4, TargetGraph.path(5), TargetGraph.star(4)):
+            assert settle_target(col, H, cert_ok=False) == SubgraphSearch(NONE, proof="colours")
+        assert settle_target(col, TargetGraph.path(4), cert_ok=False).proof is None
+        assert settle_target(all_distinct(5), K4, cert_ok=False).found
 
     def test_peel_settles_degeneracy_three(self):
-        col = construct_mindeg3(20, DistributionSequence.of(20, (60, 60, 70)))
+        col = construct_mindeg3(20, balanced_sequence(20, 6))
         assert peels_two_colours(col)
-        assert proves_rainbow_free(col, K4, cert_ok=False) == ("peel", None)
-        tri = find_rainbow_triangle(col)
-        assert tri is not None
-        assert proves_rainbow_free(col, TargetGraph.cycle(4), cert_ok=False) == (None, tri)
+        assert settle_target(col, K4, cert_ok=False) == SubgraphSearch(NONE, proof="peel")
+        assert find_rainbow_triangle(col) is not None
+        hit = settle_target(col, TargetGraph.cycle(4), cert_ok=False)
+        assert hit.proof is None and hit.found
 
     def test_rainbow_cycle_implies_rainbow_triangle(self):
         """The chord argument behind the "gallai" proof, checked on 2000
@@ -696,6 +755,16 @@ class TestRainbowFreeProofs:
                      "--budget", "1000"]) == 3
         assert capsys.readouterr() == ("", "inconclusive: rainbow search hit its node budget\n")
 
+    def test_three_colours_settle_k4_without_search(self, tmp_path, capsys):
+        # no rainbow K4 in three colours; the clique search spent its budget
+        # on the 7,643 rainbow triangles it cannot extend and exited 3
+        r = np.triu(np.random.default_rng(3).integers(1, 4, (60, 60)), 1)
+        col_path = tmp_path / "random3.col"
+        write_colouring(Colouring(60, 3, (r + r.T).astype(np.int32)), str(col_path))
+        assert main(["verify", "--colouring", str(col_path), "--target", "builtin:K4",
+                     "--budget", "1000"]) == 0
+        assert capsys.readouterr() == ("OK\n", "")
+
     def test_distinct_colours_stop_the_peel(self, tmp_path, capsys):
         n = 40
         m = np.zeros((n, n), dtype=np.int32)
@@ -710,8 +779,10 @@ class TestRainbowFreeProofs:
 
     def test_peel_never_hides_a_rainbow_copy(self):
         """Seeded corpus, n <= 9: random colourings with 2-9 colours and
-        mindeg3 outputs. Whenever the peel proof applies, the exhaustive
-        search finds no rainbow K4 or K5; where it does not, some have one."""
+        mindeg3 outputs. Whenever the peel applies, the exhaustive search
+        finds no rainbow K4 or K5; where it does not, some have one. On
+        every colouring settle_target agrees with the exhaustive search, and
+        gives none whenever it names a proof."""
         rng = random.Random(6)
         applied = found = 0
         for _ in range(300):
@@ -722,7 +793,10 @@ class TestRainbowFreeProofs:
                 col = construct_mindeg3(n, random_sequence(rng, n, rng.randint(1, n // 2)))
             for H in (K4, K5):
                 hit = find_rainbow_subgraph(col, H, node_budget=10**7)
-                if proves_rainbow_free(col, H, cert_ok=False)[0] == "peel":
+                settled = settle_target(col, H, cert_ok=False)
+                assert settled.status == hit.status and settled.embedding == hit.embedding
+                assert settled.proof is None or hit.exhausted
+                if peels_two_colours(col):
                     applied += 1
                     assert hit.exhausted
                 else:
