@@ -16,7 +16,9 @@ from .core import (
     TargetGraph,
     balanced_sequence,
     colour_counts,
+    colouring_rows,
     is_n_good,
+    read_colour_counts,
     read_colouring,
     read_sequence,
     read_target,
@@ -177,16 +179,24 @@ def _cmd_verify(args) -> int:
 
     verifier.settle_target decides the target, its searches under --budget. A
     K3 verify at 2 <= n <= 64 that finds no rainbow triangle also prints a
-    Gallai partition.
+    Gallai partition. Only --cert and --target read the colouring into a
+    matrix; --seq alone counts its rows as they are parsed, and with none of
+    the three the rows are only checked.
     """
-    col = read_colouring(args.colouring)
-    counts = colour_counts(col)
+    if args.cert or args.target:
+        col = read_colouring(args.colouring)
+        n, k, counts = col.n, col.k, (colour_counts(col) if args.seq or args.cert else None)
+    elif args.seq:
+        n, k, counts = read_colour_counts(args.colouring)
+    else:
+        for _ in colouring_rows(args.colouring)[2]:
+            pass
     failures: list[str] = []
     inconclusive: list[str] = []
 
     seq = read_sequence(args.seq) if args.seq else None
     if seq is not None:
-        for what, mine, its in (("n", col.n, seq.n), ("k", col.k, seq.k)):
+        for what, mine, its in (("n", n, seq.n), ("k", k, seq.k)):
             if mine != its:
                 raise _UsageError(f"{what} mismatch: colouring={mine} seq={its}")
         if counts != list(seq.e):
@@ -195,7 +205,7 @@ def _cmd_verify(args) -> int:
     cert_ok = False
     if args.cert:
         cert = read_certificate(args.cert)
-        replay_seq = seq or DistributionSequence.of(col.n, counts)
+        replay_seq = seq or DistributionSequence.of(n, counts)
         try:
             report = verify_certificate(cert, col, replay_seq)
         except StructuralMismatch as ex:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
-    degeneracy, is_n_good, lex_colouring, paint_lex, zero_matrix,
+    degeneracy, is_n_good, lex_colouring, mirror_upper, paint_lex, zero_matrix,
 )
 from .errors import (
     BadSize,
@@ -729,6 +729,7 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
         del budgets[bot]
         records.append(PeelRecord(lo, active, top, bot, e_bot))
         active -= t
+    mirror_upper(matrix)
     return Colouring(n, seq.k, matrix, copy=False), records
 
 

@@ -40,6 +40,22 @@ def random_graph(rng: random.Random, m: int, p: float = 0.5) -> TargetGraph:
     return TargetGraph.from_edges(m, edges)
 
 
+# (text of a malformed .col file, the message after "colouring file PATH: ",
+# test id), one per check the colouring parser makes
+COLOURING_READER_MESSAGES = [
+    ("3 2\n+ 1 1\n1\n", "row 1 holds a token that is not a base-10 integer", "lone-plus"),
+    ("3 2\n1 +\n1\n", "row 1 holds a token that is not a base-10 integer", "trailing-plus"),
+    ("3 2\n1 1\n-\n", "row 2 holds a token that is not a base-10 integer", "lone-minus"),
+    ("3 2\n1 x\n1\n", "row 1 holds a token that is not a base-10 integer", "token-x"),
+    ("0 2\n", "header must be 'n k' with integers n >= 1, k >= 1", "n0"),
+    ("3 2 9\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "three-tokens"),
+    ("3 2.0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "k-2.0"),
+    ("3\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "one-token"),
+    ("3 0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "k0"),
+    ("3 1_0\n1 10\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "k-1_0"),
+]
+
+
 def random_composition(rng: random.Random, total: int, k: int) -> tuple[int, ...]:
     """Uniform composition of total into k non-negative parts."""
     if k == 1:

@@ -1,14 +1,20 @@
+import os
+import resource
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from gallaikit import cli, constructor
+from gallaikit import cli, constructor, core
 from gallaikit.cli import main
 from gallaikit.bounds import read_infeasibility
 from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    balanced_sequence,
     lex_colouring,
     read_colouring,
     write_colouring,
@@ -18,6 +24,8 @@ from gallaikit.core import (
 from gallaikit.constructor import construct_greedy
 from gallaikit.oracle import n_good_multisets
 from gallaikit.verifier import embedding_is_rainbow, find_rainbow_subgraph
+
+from conftest import COLOURING_READER_MESSAGES
 
 
 def run(*args) -> int:
@@ -310,6 +318,104 @@ def test_malformed_colouring_is_usage_error(text, tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", MALFORMED_COLOURINGS.values(), ids=MALFORMED_COLOURINGS)
+def test_malformed_colouring_reads_alike_on_every_path(text, tmp_path, capsys):
+    # only checked, counted with no matrix, and read into a matrix: one parser
+    path, seqf = tmp_path / "bad.col", tmp_path / "seq.txt"
+    path.write_text(text)
+    seqf.write_text("3 2\n2 1\n")
+    results = []
+    for extra in ([], ["--seq", seqf], ["--target", "builtin:K3"]):
+        results.append((run("verify", "--colouring", path, *extra), capsys.readouterr()))
+    assert results[0][0] == 1
+    assert results[1] == results[2] == results[0]
+
+
+@pytest.mark.parametrize("text, message", [case[:2] for case in COLOURING_READER_MESSAGES],
+                         ids=[case[2] for case in COLOURING_READER_MESSAGES])
+def test_counting_reader_messages(text, message, tmp_path, capsys):
+    path, seqf = tmp_path / "bad.col", tmp_path / "seq.txt"
+    path.write_text(text)
+    seqf.write_text("3 2\n2 1\n")
+    assert run("verify", "--colouring", path, "--seq", seqf) == 1
+    assert capsys.readouterr() == ("", f"error: colouring file {path}: {message}\n")
+
+
+class _MatrixBuilt(Exception):
+    pass
+
+
+def test_verify_seq_alone_builds_no_matrix(tmp_path, monkeypatch, capsys):
+    col, cert, seqf = tmp_path / "out.col", tmp_path / "out.cert", tmp_path / "seq.txt"
+    assert run("construct", "--target", "builtin:K3", "--n", "6", "--seq", "balanced",
+               "--k", "2", "--out", col, "--cert", cert) == 0
+    write_sequence(balanced_sequence(6, 2), seqf)
+
+    def refuse(n):
+        raise _MatrixBuilt
+
+    monkeypatch.setattr(core, "zero_matrix", refuse)
+    assert run("verify", "--colouring", col, "--seq", seqf) == 0
+    assert run("verify", "--colouring", col) == 0
+    for extra in (["--cert", cert], ["--target", "builtin:K3"]):
+        with pytest.raises(_MatrixBuilt):
+            run("verify", "--colouring", col, "--seq", seqf, *extra)
+
+
+# A fresh interpreter runs `gallaikit ARGS`, then prints the peak resident
+# size of its own address space, VmHWM. Its ru_maxrss would be no less than
+# the size of the test process it was forked from: Linux carries that peak
+# across the exec.
+_CHILD = ("import sys\n"
+          "from gallaikit.cli import main\n"
+          "code = main(sys.argv[1:])\n"
+          "with open('/proc/self/status') as f:\n"
+          "    print(next(ln for ln in f if ln.startswith('VmHWM:')).strip())\n"
+          "sys.exit(code)\n")
+_READS_VMHWM = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="Linux only")
+
+
+def _gallaikit_child(args, address_space=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, its address space capped if asked."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-c", _CHILD, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap if address_space else None)
+
+
+def _peak_kb(proc: subprocess.CompletedProcess) -> int:
+    return int(proc.stdout.splitlines()[-1].split()[1])
+
+
+@_READS_VMHWM
+def test_largest_k_on_two_vertices_verifies_in_one_gib(tmp_path):
+    # no --seq, --cert or --target: nothing is counted, so nothing takes
+    # O(k) memory; counting 2**31 colours would ask for 16 GiB
+    path = tmp_path / "kmax.col"
+    path.write_text("2 2147483647\n1\n")
+    proc = _gallaikit_child(["verify", "--colouring", path], address_space=1 << 30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "OK"
+
+
+@_READS_VMHWM
+def test_verify_seq_peaks_below_construct(tmp_path):
+    # construct holds the n x n matrix; verify --seq holds none
+    col, seqf = tmp_path / "bulk.col", tmp_path / "bulk.seq"
+    write_sequence(balanced_sequence(3000, 60), seqf)
+    built = _gallaikit_child(["construct", "--target", "builtin:K4", "--n", 3000,
+                              "--seq", seqf, "--out", col])
+    checked = _gallaikit_child(["verify", "--colouring", col, "--seq", seqf])
+    assert (built.returncode, checked.returncode) == (0, 0), built.stderr + checked.stderr
+    assert _peak_kb(checked) < _peak_kb(built)
 
 
 STAR8_72 = "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144"

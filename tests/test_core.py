@@ -13,10 +13,13 @@ from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    _TILE,
     balanced_sequence,
     colour_counts,
     degeneracy,
     is_n_good,
+    mirror_upper,
+    read_colour_counts,
     read_colouring,
     read_sequence,
     read_target,
@@ -26,7 +29,7 @@ from gallaikit.core import (
     zero_matrix,
 )
 
-from conftest import brute_degeneracy, petersen, random_graph
+from conftest import COLOURING_READER_MESSAGES, brute_degeneracy, petersen, random_graph
 
 
 def test_public_names_resolve():
@@ -191,14 +194,26 @@ class TestColouring:
 
     def test_symmetry_checked_in_every_row_block(self):
         n = 700
+        assert 2 * _TILE < n < 3 * _TILE
         m = np.ones((n, n), dtype=np.int32)
         np.fill_diagonal(m, 0)
-        # both ends in the last rows, so only the last block holds this pair
-        m[n - 2, n - 50] = 2
-        with pytest.raises(ValueError, match="symmetric"):
-            Colouring(n, 2, m)
-        m[n - 50, n - 2] = 2
-        assert Colouring(n, 2, m).colour_of(n - 1, n - 49) == 2
+        # one asymmetric pair each: in the first diagonal tile, in an
+        # off-diagonal tile, in a partial off-diagonal tile, and in the last,
+        # partial, diagonal tile, whose pair only the last rows hold
+        for u, v in ((3, 17), (10, _TILE + 40), (_TILE + 3, n - 5), (n - 2, n - 50)):
+            m[u, v] = 2
+            with pytest.raises(ValueError, match="symmetric"):
+                Colouring(n, 2, m)
+            m[v, u] = 2
+            assert Colouring(n, 2, m).colour_of(u + 1, v + 1) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 700])
+    def test_mirror_upper_of_a_random_upper_triangle(self, n):
+        gen = np.random.default_rng(n)
+        m = np.triu(gen.integers(1, 10 ** 6, (n, n), dtype=np.int32), 1)
+        mirrored = m.copy()
+        mirror_upper(mirrored)
+        assert np.array_equal(mirrored, m + m.T)
 
     def test_counts_match_full_matrix_bincount(self, rng):
         # large k and every row block: the reference counts the whole matrix
@@ -208,6 +223,15 @@ class TestColouring:
             col = Colouring(n, k, m + m.T)
             full = np.bincount(col.matrix.ravel(), minlength=k + 1)
             assert colour_counts(col) == (full[1:] // 2).tolist()
+
+    def test_counting_reader_matches_colour_counts(self, tmp_path, rng):
+        # several bands of 2**18 cells; one band of k > C(n,2) cells; k >> n
+        for n, k in ((1000, 3), (700, 300000), (5, 10 ** 6), (1, 4)):
+            gen = np.random.default_rng(rng.randint(0, 10 ** 9))
+            m = np.triu(gen.integers(1, k + 1, (n, n), dtype=np.int32), 1)
+            col = Colouring(n, k, m + m.T)
+            write_colouring(col, tmp_path / "a.col")
+            assert read_colour_counts(tmp_path / "a.col") == (n, k, colour_counts(col))
 
     def test_induced(self):
         col = Colouring.from_edge_colours(
@@ -326,21 +350,14 @@ class TestFileFormats:
             text += edge + gap().join(tokens) + edge + rnd.choice(["\n", "\r\n"])
         p.write_bytes(text.encode())
         assert read_colouring(p) == col
+        # both count vectors take O(k) memory (ROADMAP item 12), which a k
+        # near 2**31 would make gigabytes
+        if k <= 10 ** 6:
+            assert read_colour_counts(p) == (n, k, colour_counts(read_colouring(p)))
 
     # Each case pins its exact message.
-    @pytest.mark.parametrize("text, message", [
-        ("3 2\n+ 1 1\n1\n", "row 1 holds a token that is not a base-10 integer"),
-        ("3 2\n1 +\n1\n", "row 1 holds a token that is not a base-10 integer"),
-        ("3 2\n1 1\n-\n", "row 2 holds a token that is not a base-10 integer"),
-        ("3 2\n1 x\n1\n", "row 1 holds a token that is not a base-10 integer"),
-        ("0 2\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-        ("3 2 9\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-        ("3 2.0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-        ("3\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-        ("3 0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-        ("3 1_0\n1 10\n1\n", "header must be 'n k' with integers n >= 1, k >= 1"),
-    ], ids=["lone-plus", "trailing-plus", "lone-minus", "token-x", "n0", "three-tokens",
-            "k-2.0", "one-token", "k0", "k-1_0"])
+    @pytest.mark.parametrize("text, message", [case[:2] for case in COLOURING_READER_MESSAGES],
+                             ids=[case[2] for case in COLOURING_READER_MESSAGES])
     def test_colouring_reader_messages(self, tmp_path, text, message):
         p = tmp_path / "bad.col"
         p.write_text(text)

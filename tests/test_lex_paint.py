@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from gallaikit.constructor import PeelRecord, construct, construct_mindeg3_trace
-from gallaikit.core import Colouring, DistributionSequence, TargetGraph, lex_colouring, paint_lex
+from gallaikit.core import (
+    Colouring, DistributionSequence, TargetGraph, lex_colouring, mirror_upper, paint_lex,
+)
 from gallaikit.oracle import REALIZABLE, is_realizable
 
 from conftest import random_composition
@@ -124,3 +126,17 @@ def test_paint_lex_rejects_a_stream_of_the_wrong_length(length):
     # columns 3..5 of K5 hold 2*3 + C(3,2) = 9 edges
     with pytest.raises(ValueError):
         paint_lex(np.zeros((5, 5), dtype=np.int32), 3, 5, np.ones(length, np.int32))
+
+
+def test_paint_lex_paints_the_upper_triangle_only():
+    seq = DistributionSequence.of(9, (10, 0, 26))
+    matrix = np.zeros((9, 9), dtype=np.int32)
+    paint_lex(matrix, 1, 9, np.repeat(np.int32([1, 2, 3]), seq.e))
+    assert not np.tril(matrix).any()
+    mirror_upper(matrix)
+    assert np.array_equal(matrix, reference_lex(seq))
+    # columns 4..9 only: 3 * 6 + C(6,2) edges
+    matrix = np.zeros((9, 9), dtype=np.int32)
+    paint_lex(matrix, 4, 9, np.arange(1, 34, dtype=np.int32))
+    assert not np.tril(matrix).any() and not matrix[:, :3].any()
+    assert np.count_nonzero(matrix) == 33
