@@ -15,9 +15,10 @@ from .core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
-    _data_lines,
     balanced_sequence,
     colour_counts,
+    data_lines,
+    int_tokens,
     is_n_good,
 )
 from .constructor import StageConstants, floor_root
@@ -73,11 +74,11 @@ class InfeasibilityCertificate:
     def verify(self) -> bool:
         if self.margin <= 0 and self.kind != KIND_TREE:
             return False
-        if self.kind == KIND_RAINBOW_KM:
+        if self.kind == KIND_RAINBOW_KM and self.m >= 3:
             rhs = Fraction(self.n * (self.n - 1) * (self.n - 2),
                            self.m * (self.m - 1) * (self.m - 2))
             return self.a < rhs and self.margin == rhs - self.a
-        if self.kind == KIND_TREE:
+        if self.kind == KIND_TREE and self.m >= 2:
             d = tree_threshold(self.m)
             want = Fraction(comb(self.n, 2), d) - self.a
             return want >= 0 and self.margin == want
@@ -107,13 +108,13 @@ class InfeasibilityCertificate:
     @staticmethod
     def from_line(line: str) -> "InfeasibilityCertificate":
         parts = line.split()
-        if len(parts) != 10 or parts[0] not in _TOKEN_KINDS:
-            raise ValueError(f"bad certificate line: {line!r}")
-        kind = _TOKEN_KINDS[parts[0]]
-        k, n, m, a, b, c = (int(x) for x in parts[1:7])
-        margin = Fraction(int(parts[7]), int(parts[8]))
-        log_error = Fraction(parts[9])
-        return InfeasibilityCertificate(kind, k, n, m, a, b, c, margin, log_error)
+        if len(parts) == 10 and parts[0] in _TOKEN_KINDS:
+            k, n, m, a, b, c, num, den, *log_error = int_tokens(
+                parts[1:9] + parts[9].split("/"), "certificate line")
+            if len(log_error) <= 2 and 0 not in (den, *log_error[1:]):
+                return InfeasibilityCertificate(_TOKEN_KINDS[parts[0]], k, n, m, a, b, c,
+                                                Fraction(num, den), Fraction(*log_error))
+        raise ValueError(f"bad certificate line: {line!r}")
 
 
 def write_infeasibility(cert: InfeasibilityCertificate, path: str) -> None:
@@ -123,13 +124,13 @@ def write_infeasibility(cert: InfeasibilityCertificate, path: str) -> None:
 
 
 def read_infeasibility(path: str) -> InfeasibilityCertificate:
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"certificate file {path}: empty")
-    cert = InfeasibilityCertificate.from_line(lines[0])
-    if not cert.verify():
-        raise ValueError(f"certificate file {path}: failed re-verification")
-    return cert
+    with data_lines(path, "certificate file") as lines:
+        if len(lines) != 1:
+            raise ValueError(f"expected 1 data line, got {len(lines)}")
+        cert = InfeasibilityCertificate.from_line(lines[0])
+        if not cert.verify():
+            raise ValueError("failed re-verification")
+        return cert
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .core import (
     balanced_sequence,
     colour_counts,
     colouring_rows,
+    int_tokens,
     is_n_good,
     read_colour_counts,
     read_colouring,
@@ -74,15 +75,19 @@ def _load_sequence(arg: str, n: int, k: int | None) -> DistributionSequence:
     if os.path.exists(arg):
         seq = read_sequence(arg)
         if seq.n != n:
-            raise _UsageError(f"sequence file is for n={seq.n}, not {n}")
+            raise _UsageError(f"sequence file {arg} is for n={seq.n}, not {n}")
         return seq
-    try:
-        entries = tuple(int(x) for x in arg.split())
-    except ValueError:
-        raise _UsageError(f"--seq must be a file, 'balanced', or integers; got {arg!r}")
+    entries = tuple(int_tokens(arg.split(), "--seq is neither a file nor 'balanced'"))
     if not entries:
         raise _UsageError("--seq given an empty inline sequence")
     return DistributionSequence(n, len(entries), entries)
+
+
+def _n_good(seq: DistributionSequence) -> DistributionSequence:
+    if not is_n_good(seq):
+        raise _UsageError(
+            f"sequence sums to {seq.total}, not C({seq.n},2) = {seq.n * (seq.n - 1) // 2}")
+    return seq
 
 
 def _positive_int(text: str) -> int:
@@ -144,10 +149,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_construct(args) -> int:
     H = _load_target(args.target)
-    seq = _load_sequence(args.seq, args.n, args.k)
-    if not is_n_good(seq):
-        raise _UsageError(
-            f"sequence sums to {seq.total}, not C({args.n},2) = {args.n * (args.n - 1) // 2}")
+    seq = _n_good(_load_sequence(args.seq, args.n, args.k))
     try:
         result = construct(H, args.n, seq)
     except NotConstructed as ex:
@@ -251,12 +253,12 @@ def _cmd_certify(args) -> int:
         elif args.kind == "clash":
             if not args.seq or args.m is None:
                 raise _UsageError("--kind clash requires --seq and --m")
-            cert = bounds.clash_bound_check(read_sequence(args.seq), args.m)
+            cert = bounds.clash_bound_check(_n_good(read_sequence(args.seq)), args.m)
         elif args.kind == "tree":
             if args.seq:
                 if args.m is None:
                     raise _UsageError("--kind tree requires --m")
-                cert = bounds.tree_forced_check(read_sequence(args.seq), args.m)
+                cert = bounds.tree_forced_check(_n_good(read_sequence(args.seq)), args.m)
             else:
                 if None in (args.n, args.k, args.m):
                     raise _UsageError("--kind tree needs --seq or all of --n --k --m")

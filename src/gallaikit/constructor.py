@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
-    degeneracy, is_n_good, lex_colouring, mirror_upper, paint_lex, zero_matrix,
+    data_lines, degeneracy, int_lines, is_n_good, lex_colouring, mirror_upper, paint_lex,
+    zero_matrix,
 )
 from .errors import (
     BadSize,
@@ -866,29 +867,9 @@ def write_certificate(cert: SplitCertificate, path: str) -> None:
 
 
 def read_certificate(path: str) -> SplitCertificate:
-    steps: list[StepRecord] = []
-    metadata: dict[str, str] = {}
-    header = None
-    with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    metadata[key.strip()] = val.strip()
-                continue
-            parts = [int(x) for x in line.split()]
-            if header is None:
-                if len(parts) != 2:
-                    raise ValueError(f"certificate {path}: bad header {line!r}")
-                header = (parts[0], parts[1])
-            else:
-                if len(parts) != 4:
-                    raise ValueError(f"certificate {path}: bad step {line!r}")
-                steps.append(StepRecord(*parts))
-    if header is None:
-        raise ValueError(f"certificate {path}: empty")
-    return SplitCertificate(header[0], header[1], steps, metadata)
+    """The metadata comments write_certificate appends are not read back."""
+    with data_lines(path, "certificate file") as text:
+        lines = int_lines(text)
+        if not lines or len(lines[0]) != 2 or any(len(ln) != 4 for ln in lines[1:]):
+            raise ValueError("expected the line 'n k', then one line 'lo hi t colour' per step")
+        return SplitCertificate(*lines[0], [StepRecord(*step) for step in lines[1:]])

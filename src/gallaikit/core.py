@@ -7,6 +7,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -319,13 +320,41 @@ def lex_colouring(seq: DistributionSequence) -> Colouring:
 
 
 # ---------------------------------------------------------------------------
-# Text file formats. Lines starting with "#" are comments and ignored by every
-# parser; writers emit a canonical form so round-trips are bit-exact.
+# Text file formats. Lines starting with "#" are comments, read by no parser;
+# only this module opens files to read, and writers emit a canonical form.
 # ---------------------------------------------------------------------------
 
 def _data_lines(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as f:
-        return [ln.strip() for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
+        return [ln for ln in map(str.strip, f) if ln and ln[0] != "#"]
+
+
+def _is_integer(token: str) -> bool:
+    """An optional sign, then ASCII digits; int() alone also takes "1_0" and "١"."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.isascii() and digits.isdigit()
+
+
+def int_tokens(tokens: list[str], where: str) -> list[int]:
+    """tokens as base-10 integers; any other token raises a ValueError led by where."""
+    for token in tokens:
+        if not _is_integer(token):
+            raise ValueError(f"{where}: {token!r} is not a base-10 integer")
+    return list(map(int, tokens))
+
+
+def int_lines(lines: list[str]) -> list[list[int]]:
+    """Each data line as a list of base-10 integers."""
+    return [int_tokens(ln.split(), f"data line {i}") for i, ln in enumerate(lines, 1)]
+
+
+@contextmanager
+def data_lines(path: str, what: str):
+    """The data lines of path; a ValueError in reading them or in the block gets what and path."""
+    try:
+        yield _data_lines(path)
+    except ValueError as ex:
+        raise ValueError(f"{what} {path}: {ex}") from None
 
 
 def write_sequence(seq: DistributionSequence, path: str) -> None:
@@ -335,12 +364,12 @@ def write_sequence(seq: DistributionSequence, path: str) -> None:
 
 
 def read_sequence(path: str) -> DistributionSequence:
-    lines = _data_lines(path)
-    if len(lines) < 2:
-        raise ValueError(f"sequence file {path}: expected 2 data lines")
-    n, k = (int(x) for x in lines[0].split())
-    e = tuple(int(x) for x in lines[1].split())
-    return DistributionSequence(n, k, e)
+    with data_lines(path, "sequence file") as text:
+        lines = int_lines(text)
+        if len(lines) != 2 or len(lines[0]) != 2:
+            raise ValueError("expected the line 'n k', then one line of k budgets")
+        (n, k), e = lines
+        return DistributionSequence(n, k, tuple(e))
 
 
 # The colouring writer formats consecutive upper-triangle rows holding at most
@@ -390,13 +419,6 @@ def write_colouring(col: Colouring, path: str) -> None:
             text[:, width] = ord(" ")
             text[np.cumsum(np.arange(n - u, n - v, -1)) - 1, width] = ord("\n")
             f.write(text[keep])
-
-
-def _is_integer(token: str) -> bool:
-    """An optional sign, then ASCII digits; int() alone would also take
-    "1_0" and other scripts' digits."""
-    digits = token[1:] if token[0] in "+-" else token
-    return digits.isascii() and digits.isdigit()
 
 
 def colouring_rows(path: str):
@@ -472,12 +494,8 @@ def write_target(H: TargetGraph, path: str) -> None:
 
 
 def read_target(path: str) -> TargetGraph:
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"target file {path}: empty")
-    m = int(lines[0].split()[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        edges.append((u, v))
-    return TargetGraph.from_edges(m, edges)
+    with data_lines(path, "target file") as text:
+        lines = int_lines(text)
+        if not lines or len(lines[0]) != 1 or any(len(ln) != 2 for ln in lines[1:]):
+            raise ValueError("expected the line 'm', then one line 'u v' per edge")
+        return TargetGraph.from_edges(lines[0][0], lines[1:])

@@ -575,7 +575,6 @@ class TestCertificateFiles:
         back = read_certificate(p)
         assert back.n == cert.n and back.k == cert.k
         assert back.steps == cert.steps
-        assert back.metadata["strategy"] == "greedy"
 
     def test_bad_step_line(self, tmp_path):
         p = tmp_path / "c.cert"
