@@ -50,6 +50,45 @@ def _log_upper(num: int, den: int) -> Fraction:
     return Fraction(floor_root(_LOG_SCALE, 1, 1, num, den) + _LOG_SLACK, _LOG_SCALE)
 
 
+def _margin(kind: str, k: int, n: int, m: int, a: int, b: int, c: int) -> Fraction | None:
+    """The margin of kind's inequality on these fields when it and all of the kind's
+    side conditions hold, else None; the makers and verify() both evaluate it here."""
+    if kind == KIND_RAINBOW_KM:
+        # a = sum C(e_i,2) < n(n-1)(n-2)/(m(m-1)(m-2)) forces a rainbow K_m
+        if n >= m >= 3 and a >= 0 and b == c == 0:
+            margin = Fraction(n * (n - 1) * (n - 2), m * (m - 1) * (m - 2)) - a
+            return margin if margin > 0 else None
+    elif kind == KIND_TREE:
+        # a = max e_i <= C(n,2)/(6m)^(6m); a = 0 is n-good only at n <= 1, where K_n has
+        # no tree. (6m)^(6m) >= 2^(6m(bits(6m)-1)), so no a >= 1 fits unless that < C(n,2)
+        total, x = comb(n, 2), 6 * m
+        if m >= 2 and a >= 1 and b == c == 0 and x * (x.bit_length() - 1) < total.bit_length():
+            margin = Fraction(total, tree_threshold(m)) - a
+            return margin if margin >= 0 else None
+    elif kind == KIND_TRIANGLE_HARD:
+        # b^2/3 - 4(a+1)log(n/b) > 0, the log rounded against it, for the
+        # n-good sequence of c entries a+1, ceil(k/2)-c entries a and floor(k/2)
+        # entries b, with 5b^2 >= k^2, 4(a+1) <= 5a, a*ceil(k/2) <= C(n,2), n <= bk
+        half_up = (k + 1) // 2
+        if (k >= 3 and n >= 2 and m == 3 and b == k // 2 and 0 <= c < half_up
+                and c * (a + 1) + (half_up - c) * a + (k // 2) * b == comb(n, 2)
+                and 5 * b * b >= k * k and 4 * (a + 1) <= 5 * a
+                and a * half_up <= comb(n, 2) and n <= b * k):
+            margin = Fraction(b * b, 3) - 4 * (a + 1) * _log_upper(n, b)
+            return margin if margin > 0 else None
+    return None
+
+
+def _certificate(kind: str, k: int, n: int, m: int, a: int, b: int = 0, c: int = 0
+                 ) -> InfeasibilityCertificate | None:
+    """kind's certificate on these fields, or None when its inequality fails."""
+    margin = _margin(kind, k, n, m, a, b, c)
+    if margin is None:
+        return None
+    log_error = _LOG_WIDTH if kind == KIND_TRIANGLE_HARD else Fraction(0)
+    return InfeasibilityCertificate(kind, k, n, m, a, b, c, margin, log_error)
+
+
 @dataclass
 class InfeasibilityCertificate:
     """Machine-checkable arithmetic witness; verify() re-evaluates the stored
@@ -72,24 +111,8 @@ class InfeasibilityCertificate:
     log_error: Fraction = Fraction(0)
 
     def verify(self) -> bool:
-        if self.margin <= 0 and self.kind != KIND_TREE:
-            return False
-        if self.kind == KIND_RAINBOW_KM and self.m >= 3:
-            rhs = Fraction(self.n * (self.n - 1) * (self.n - 2),
-                           self.m * (self.m - 1) * (self.m - 2))
-            return self.a < rhs and self.margin == rhs - self.a
-        if self.kind == KIND_TREE and self.m >= 2:
-            d = tree_threshold(self.m)
-            want = Fraction(comb(self.n, 2), d) - self.a
-            return want >= 0 and self.margin == want
-        if self.kind == KIND_TRIANGLE_HARD:
-            k, n, a, b, c = self.k, self.n, self.a, self.b, self.c
-            half_up = (k + 1) // 2
-            return (k >= 3 and n >= 2 and self.m == 3 and b == k // 2 and 0 <= c < half_up
-                    and c * (a + 1) + (half_up - c) * a + (k // 2) * b == comb(n, 2)
-                    and self.log_error == _LOG_WIDTH
-                    and _triangle_margin(k, n, a, b) == self.margin)
-        return False
+        """True when the makers' certificate on these fields, margin and log error too, is self."""
+        return _certificate(self.kind, self.k, self.n, self.m, self.a, self.b, self.c) == self
 
     def inequality_text(self) -> str:
         if self.kind == KIND_RAINBOW_KM:
@@ -144,12 +167,7 @@ def clash_bound_check(seq: DistributionSequence, m: int) -> InfeasibilityCertifi
     n = seq.n
     if not (n >= m >= 3):
         raise PreconditionViolation(f"need n >= m >= 3, got n={n}, m={m}")
-    lhs = sum(comb(e, 2) for e in seq.e)
-    rhs = Fraction(n * (n - 1) * (n - 2), m * (m - 1) * (m - 2))
-    if lhs < rhs:
-        return InfeasibilityCertificate(KIND_RAINBOW_KM, seq.k, n, m,
-                                        lhs, 0, 0, rhs - lhs)
-    return None
+    return _certificate(KIND_RAINBOW_KM, seq.k, n, m, sum(comb(e, 2) for e in seq.e))
 
 
 # ---------------------------------------------------------------------------
@@ -178,46 +196,26 @@ def triangle_hard_sequence(k: int) -> tuple[DistributionSequence, HardSequencePa
     n = StageConstants().lower_n(k)
     if n < 2:
         raise RangeError("n", n)
-    total = comb(n, 2)
     b = k // 2
     half_up = (k + 1) // 2
-    a = (total - b * (k // 2)) // half_up
+    a, c = divmod(comb(n, 2) - b * (k // 2), half_up)
     if a < 0:
         raise RangeError("a", a)
-    c = total - b * (k // 2) - a * half_up
     e = (a + 1,) * c + (a,) * (half_up - c) + (b,) * (k // 2)
     seq = DistributionSequence(n, k, e)
     assert is_n_good(seq), "hard sequence must be n-good by construction"
     return seq, HardSequenceParams(n, a, b, c)
 
 
-def _triangle_margin(k: int, n: int, a: int, b: int) -> Fraction | None:
-    """The margin b^2/3 - 4(a+1)log(n/b), with the log rounded against it, when
-    it is positive and the side conditions 5b^2 >= k^2, 4(a+1) <= 5a,
-    a*ceil(k/2) <= C(n,2) and n <= bk hold; None otherwise."""
-    if not (5 * b * b >= k * k and 4 * (a + 1) <= 5 * a
-            and a * ((k + 1) // 2) <= comb(n, 2) and n <= b * k):
-        return None
-    margin = Fraction(b * b, 3) - 4 * (a + 1) * _log_upper(n, b)
-    return margin if margin > 0 else None
-
-
 def triangle_infeasibility_check(k: int) -> InfeasibilityCertificate | None:
-    """Evaluate the margin of the hard sequence and its side conditions in
-    exact arithmetic (see _triangle_margin).
+    """The hard sequence's certificate when its margin and side conditions hold.
 
     A certificate asserts no Gallai colouring of K_n realises the hard
     sequence, hence forcing a rainbow triangle. It is made only at the n that
-    alpha = 1/10 gives, where the paper's lemma applies; the checker
-    (InfeasibilityCertificate.verify) is wider and accepts any n with a
-    positive margin.
+    alpha = 1/10 gives, where the paper's lemma applies; verify() is wider.
     """
     _, p = triangle_hard_sequence(k)
-    margin = _triangle_margin(k, p.n, p.a, p.b)
-    if margin is None:
-        return None
-    return InfeasibilityCertificate(KIND_TRIANGLE_HARD, k, p.n, 3, p.a, p.b, p.c,
-                                    margin, _LOG_WIDTH)
+    return _certificate(KIND_TRIANGLE_HARD, k, p.n, 3, p.a, p.b, p.c)
 
 
 def smallest_certified_k(k_max: int = 1000) -> int | None:
@@ -245,8 +243,9 @@ def tree_threshold(m: int) -> int:
 def tree_forced_check(seq: DistributionSequence, m: int) -> InfeasibilityCertificate | None:
     """If every colour is used at most C(n,2)/(6m)^(6m) times, every colouring
     with these counts contains a rainbow copy of every m-vertex tree."""
-    max_e = max(seq.e)
-    return _tree_forced(seq.n, seq.k, m, max_e)
+    if m < 2:
+        raise PreconditionViolation("need m >= 2")
+    return _certificate(KIND_TREE, seq.k, seq.n, m, max(seq.e))
 
 
 def balanced_tree_forced_check(n: int, k: int, m: int) -> InfeasibilityCertificate | None:
@@ -255,18 +254,9 @@ def balanced_tree_forced_check(n: int, k: int, m: int) -> InfeasibilityCertifica
     materialised."""
     if n < 1 or k < 1:
         raise PreconditionViolation(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    q, r = divmod(comb(n, 2), k)
-    max_e = q + (1 if r else 0)
-    return _tree_forced(n, k, m, max_e)
-
-
-def _tree_forced(n: int, k: int, m: int, max_e: int) -> InfeasibilityCertificate | None:
-    d = tree_threshold(m)
-    bound = Fraction(comb(n, 2), d)
-    if max_e <= bound:
-        return InfeasibilityCertificate(KIND_TREE, k, n, m, max_e, 0, 0,
-                                        bound - max_e)
-    return None
+    if m < 2:
+        raise PreconditionViolation("need m >= 2")
+    return _certificate(KIND_TREE, k, n, m, -(-comb(n, 2) // k))
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,11 @@ def _n_good(seq: DistributionSequence) -> DistributionSequence:
 
 
 def _positive_int(text: str) -> int:
+    """Every integer option: one token under the files' integer rule, at least 1."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int_tokens([text], "option value")[0]
+    except ValueError as ex:
+        raise argparse.ArgumentTypeError(str(ex)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -107,9 +108,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a rainbow-free colouring")
     p.add_argument("--target", required=True,
                    help="graph file or builtin:K3|builtin:K4|builtin:C4")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seq", required=True, help="file, 'balanced', or inline integers")
-    p.add_argument("--k", type=int, help="colour count for --seq balanced")
+    p.add_argument("--k", type=_positive_int, help="colour count for --seq balanced")
     p.add_argument("--out", help="write the colouring here")
     p.add_argument("--cert", help="write the split certificate here")
 
@@ -124,16 +125,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="produce an infeasibility certificate")
     p.add_argument("--kind", required=True, choices=["triangle", "clash", "tree", "general"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=_positive_int)
+    p.add_argument("--m", type=_positive_int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--seq", help="sequence file for clash/tree kinds")
     p.add_argument("--target", help="target for the general kind")
     p.add_argument("--out", help="write the certificate here")
 
     p = sub.add_parser("oracle", help="exhaustive realizability table and agreement report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--target", default="builtin:K3")
     p.add_argument("--budget", type=_positive_int, default=oracle.SEQUENCE_NODE_BUDGET,
                    help="node budget per sequence for the exhaustive search, which decides "

@@ -85,15 +85,29 @@ def degeneracy(H: TargetGraph) -> int:
     """Smallest d such that repeated minimum-degree deletion never sees degree > d.
 
     Edgeless graphs are 0-degenerate by convention; forests are exactly the
-    1-degenerate graphs.
+    1-degenerate graphs. Isolated vertices change nothing, so only the edges'
+    ends are kept. Each round raises d to the least degree left and deletes
+    every vertex of degree <= d, and each one its deletions bring down to d.
+    The vertices left after a round have degree > d, so at most 2|E|/d of
+    them are scanned for the next d: O(|E| log |E|) in all.
     """
-    adj = H.adjacency()
+    adj: dict[int, list[int]] = {}
+    for u, v in H.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    left = {v: len(ws) for v, ws in adj.items()}
     d = 0
-    while adj:
-        v = min(adj, key=lambda x: len(adj[x]))
-        d = max(d, len(adj[v]))
-        for w in adj.pop(v):
-            adj[w].discard(v)
+    while left:
+        d = min(left.values())  # > the last round's d
+        stack = [v for v, deg in left.items() if deg <= d]
+        while stack:
+            v = stack.pop()
+            del left[v]
+            for w in adj[v]:
+                if w in left:
+                    left[w] -= 1
+                    if left[w] == d:
+                        stack.append(w)
     return d
 
 

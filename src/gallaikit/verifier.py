@@ -106,10 +106,6 @@ def find_rainbow_clique(col: Colouring, m: int,
     return SubgraphSearch(NONE, nodes_used=nodes)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def colour_degrees(col: Colouring) -> np.ndarray:
     """Entry v-1 = number of distinct colours on the edges at vertex v.
 
@@ -125,7 +121,9 @@ def colour_degrees(col: Colouring) -> np.ndarray:
 
 def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
                           node_budget: int = 1_000_000) -> SubgraphSearch:
-    """Backtracking search for a rainbow copy of H.
+    """Backtracking search for a rainbow copy of H, by a loop over H's vertices
+    with a cursor into each one's hosts instead of recursion, so that a
+    target of any size fits.
 
     Vertex j of H is placed only on host vertices whose colour degree is at
     least its degree in H, which every rainbow copy satisfies. Returns found
@@ -144,46 +142,34 @@ def find_rainbow_subgraph(col: Colouring, H: TargetGraph,
     images = [0] * (m + 1)
     used_v = [False] * (n + 1)
     used_c: set[int] = set()
-    nodes = 0
-
-    def place(j: int) -> Embedding | None:
-        nonlocal nodes
+    fresh: list[list[int]] = [[] for _ in range(m + 1)]
+    tried = [0] * (m + 1)  # hosts[j][:tried[j]] have been tried for H's vertex j
+    j, nodes = 1, 0
+    while j:
         if j > m:
-            return Embedding(tuple(images[1:]))
-        for u in hosts[j]:
+            return SubgraphSearch(FOUND, Embedding(tuple(images[1:])), nodes)
+        if images[j]:  # back from a dead end: take vertex j's image back
+            used_c.difference_update(fresh[j])
+            used_v[images[j]] = False
+            images[j] = 0
+        while tried[j] < len(hosts[j]):
+            u = hosts[j][tried[j]]
+            tried[j] += 1
             if used_v[u]:
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise _BudgetExhausted
-            fresh: list[int] = []
-            ok = True
-            for i in back[j]:
-                c = int(M[images[i] - 1, u - 1])
-                if c in used_c or c in fresh:
-                    ok = False
-                    break
-                fresh.append(c)
-            if not ok:
-                continue
-            images[j] = u
-            used_v[u] = True
-            used_c.update(fresh)
-            hit = place(j + 1)
-            if hit is not None:
-                return hit
-            used_c.difference_update(fresh)
-            used_v[u] = False
-            images[j] = 0
-        return None
-
-    try:
-        emb = place(1)
-    except _BudgetExhausted:
-        return SubgraphSearch(INCONCLUSIVE, nodes_used=node_budget)
-    if emb is None:
-        return SubgraphSearch(NONE, nodes_used=nodes)
-    return SubgraphSearch(FOUND, emb, nodes)
+                return SubgraphSearch(INCONCLUSIVE, nodes_used=node_budget)
+            colours = [int(M[images[i] - 1, u - 1]) for i in back[j]]
+            if len(set(colours)) == len(colours) and used_c.isdisjoint(colours):
+                images[j], used_v[u], fresh[j] = u, True, colours
+                used_c.update(colours)
+                j += 1
+                break
+        else:
+            tried[j] = 0
+            j -= 1
+    return SubgraphSearch(NONE, nodes_used=nodes)
 
 
 def peels_two_colours(col: Colouring) -> bool:

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -148,6 +149,17 @@ class TestVerifyCommand:
         assert run("verify", "--colouring", col, "--target", "builtin:K3") == 0
         assert capsys.readouterr().out == "OK\n"
 
+    def test_target_with_a_million_vertices(self, tmp_path, capsys):
+        # one edge among 10^6 vertices: the target does not fit in K_4, and
+        # its degeneracy is found from the edge alone
+        write_colouring(Colouring.monochromatic(4), tmp_path / "four.col")
+        (tmp_path / "wide.txt").write_text("1000000\n1 2\n")
+        t0 = time.monotonic()
+        assert run("verify", "--colouring", tmp_path / "four.col",
+                   "--target", tmp_path / "wide.txt") == 0
+        assert time.monotonic() - t0 < 2.0
+        assert capsys.readouterr().out == "OK\n"
+
     def test_exhaustive_c4_verdict(self, tmp_path):
         col = tmp_path / "out.col"
         assert run("construct", "--target", "builtin:C4", "--n", "8",
@@ -236,6 +248,17 @@ class TestCertifyCommand:
         assert code == 0
         assert "TREEFORCED" in capsys.readouterr().out
 
+    def test_tree_kind_settles_a_large_m_without_the_power(self, tmp_path, capsys):
+        # (6m)^(6m) at m = 200000 has about 2.5 * 10^7 bits; C(10,2) has 6
+        t0 = time.monotonic()
+        assert run("certify", "--kind", "tree", "--n", "10", "--k", "3", "--m", "200000") == 2
+        line = tmp_path / "big-m.inf"
+        line.write_text("TREEFORCED 3 10 200000 1 0 0 1 1 0\n")
+        with pytest.raises(ValueError, match="failed re-verification"):
+            read_infeasibility(line)
+        assert time.monotonic() - t0 < 0.5
+        assert "no certificate" in capsys.readouterr().err
+
     def test_general_kind(self, capsys):
         code = run("certify", "--kind", "general", "--target", "builtin:K3",
                    "--k", "2000")
@@ -265,6 +288,8 @@ BAD_INPUT = [
     ["verify", "--target", "builtin:C4", "--budget", "-5"],
     ["oracle", "--k", "2", "--n-max", "3", "--budget", "0"],
     ["oracle", "--k", "2", "--n-max", "3", "--total-budget", "-1"],
+    ["certify", "--kind", "tree", "--n", "10", "--k", "3", "--m", "1"],
+    ["construct", "--n", "1_0", "--seq", "balanced", "--k", "٣"],
     # --strategy is not an option of construct
     ["construct", "--n", "26", "--seq", "balanced", "--k", "3", "--strategy", "staged"],
     ["construct", "--n", "10", "--seq", "balanced", "--k", "3", "--strategy", "greedy"],
@@ -284,6 +309,32 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error:")
     assert out == ""
+
+
+INTEGER_OPTIONS = [
+    (["construct", "--target", "builtin:K3", "--seq", "balanced", "--k", "3"], "--n"),
+    (["construct", "--target", "builtin:K3", "--n", "10", "--seq", "balanced"], "--k"),
+    (["certify", "--kind", "tree", "--n", "10", "--k", "3"], "--m"),
+    (["certify", "--kind", "tree", "--k", "3", "--m", "2"], "--n"),
+    (["oracle", "--n-max", "3"], "--k"),
+    (["oracle", "--k", "2"], "--n-max"),
+    (["oracle", "--k", "2", "--n-max", "3"], "--budget"),
+    (["oracle", "--k", "2", "--n-max", "3"], "--total-budget"),
+    (["verify", "--colouring", "x.col"], "--budget"),
+]
+
+
+@pytest.mark.parametrize("argv, option", INTEGER_OPTIONS, ids=lambda a: " ".join(a[:1]) or a)
+@pytest.mark.parametrize("value, message", [
+    ("1_0", "option value: '1_0' is not a base-10 integer"),
+    ("٣", "option value: '٣' is not a base-10 integer"),
+    ("0", "must be a positive integer, got 0"),
+    ("-2", "must be a positive integer, got -2"),
+])
+def test_integer_options_follow_the_token_rule(argv, option, value, message, capsys):
+    assert main(argv + [option, value]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: argument {option}: {message}\n")
 
 
 MALFORMED_COLOURINGS = {

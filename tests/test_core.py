@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -78,6 +79,28 @@ class TestDegeneracy:
             H = random_graph(rng, rng.randint(3, 8), p=0.6)
             has_dense_sub = brute_degeneracy(H) >= 3
             assert (degeneracy(H) >= 3) == has_dense_sub
+
+    def test_matches_the_minimum_scan_up_to_twelve_vertices(self):
+        def min_scan(H):
+            # the plain definition: delete a vertex of least degree, m times
+            adj, d = H.adjacency(), 0
+            while adj:
+                v = min(adj, key=lambda x: len(adj[x]))
+                d = max(d, len(adj[v]))
+                for w in adj.pop(v):
+                    adj[w].discard(v)
+            return d
+        rng = random.Random(25)
+        for _ in range(400):
+            H = random_graph(rng, rng.randint(1, 12), p=rng.random())
+            assert degeneracy(H) == min_scan(H), sorted(H.edges)
+
+    def test_long_path_and_isolated_vertices_are_fast(self):
+        path = TargetGraph.path(100_000)
+        t0 = time.monotonic()
+        assert degeneracy(path) == 1
+        assert degeneracy(TargetGraph(1_000_000, frozenset({(1, 2)}))) == 1
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestSequences:

@@ -133,6 +133,18 @@ class TestRainbowSubgraph:
         res = find_rainbow_subgraph(col, TargetGraph.cycle(4))
         assert res.status == "none" and res.nodes_used == 611
 
+    def test_target_deeper_than_the_recursion_limit(self):
+        # every edge of K_1100 its own colour: the least rainbow P_1050 is the
+        # identity, placed with one node per vertex and no backtracking
+        n = 1100
+        m = np.zeros((n, n), dtype=np.int32)
+        upper = np.triu_indices(n, 1)
+        m[upper] = np.arange(1, len(upper[0]) + 1)
+        col = Colouring(n, len(upper[0]), m + m.T)
+        res = find_rainbow_subgraph(col, TargetGraph.path(1050), node_budget=10**4)
+        assert res.found and res.embedding.vertices == tuple(range(1, 1051))
+        assert res.nodes_used == 1050
+
     @pytest.mark.parametrize("name, H", [
         ("P3", TargetGraph.path(3)), ("P4", TargetGraph.path(4)),
         ("star3", TargetGraph.star(3)), ("C4", TargetGraph.cycle(4)),
