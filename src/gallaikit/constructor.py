@@ -1,6 +1,7 @@
 """Standard-colouring engine: split states, step primitives, and the staged,
 greedy and min-degree-3 constructors, all emitting replayable certificates.
-The greedy constructor's last resort, standard_search, is also the oracle's
+The greedy constructor is one best-fit descent, then standard_search, which
+tries its steps in the descent's order and is also the oracle's
 standard-colouring decision procedure.
 
 A standard colouring step splits an uncoloured block of size m into sizes t
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -150,9 +150,6 @@ class VerificationReport:
     ok: bool
     failed_step: int | None = None
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def replay_certificate(cert: SplitCertificate, budgets) -> tuple[VerificationReport, np.ndarray]:
@@ -540,28 +537,12 @@ def construct_staged(n: int, seq: DistributionSequence,
 # ---------------------------------------------------------------------------
 
 def greedy_descent(state: SplitState) -> bool:
-    """Straight-line pass: peel one vertex off the largest block s in the
-    colour of the smallest budget that pays s-1 (best fit, ties to the lowest
-    colour). A larger step t costs t(s-t) >= s-1, so when no budget pays s-1
-    no step fits. Never backtracks; True when the state is fully coloured."""
-    budgets = state.budgets
-    while True:
-        big = state.largest_block()
-        if big is None:
-            return True
-        need = big[1] - big[0]
-        fits = [b for b in budgets if b >= need]
-        if not fits:
-            return False
-        state.apply_step(big[0], 1, budgets.index(min(fits)) + 1)
-
-
-def max_split_descent(state: SplitState) -> bool:
-    """Straight-line pass of the paper's maximal-size splitting: split the
-    largest block s in the colour of the largest budget (ties to the lowest
-    colour) with the largest t <= s/2 whose t(s-t) fits that budget. Never
-    backtracks; True when the state is fully coloured, False once the largest
-    budget is below s-1."""
+    """Straight-line best-fit pass: split the largest block s with the
+    (t, colour) that leaves the least budget b - t(s-t), ties to the smaller
+    t, then the lower colour. For one colour the largest fitting t,
+    _max_step_size(s, b), leaves the least, so a step costs O(k). Never
+    backtracks; True when the state is fully coloured, False once no budget
+    pays s-1."""
     budgets = state.budgets
     # (-size, lo) pops the block SplitState.largest_block would pick, in
     # O(log n) where it scans every block
@@ -570,11 +551,18 @@ def max_split_descent(state: SplitState) -> bool:
     while heap:
         lo = heapq.heappop(heap)[1]
         hi = state.blocks[lo]
-        b = max(budgets)
-        t = _max_step_size(hi - lo + 1, b)
-        if t < 1:
+        size = hi - lo + 1
+        best = None
+        for colour, b in enumerate(budgets, start=1):
+            if b >= size - 1:
+                t = _max_step_size(size, b)
+                step = (b - t * (size - t), t, colour)
+                if best is None or step < best:
+                    best = step
+        if best is None:
             return False
-        state.apply_step(lo, t, budgets.index(b) + 1)
+        _, t, colour = best
+        state.apply_step(lo, t, colour)
         for part in (lo, hi - t + 1):
             if part in state.blocks:
                 heapq.heappush(heap, (part - state.blocks[part], part))
@@ -590,18 +578,16 @@ class GreedyResult:
 
 def construct_greedy(n: int, seq: DistributionSequence,
                      node_budget: int = 500_000) -> GreedyResult:
-    """Two straight-line descents, then the standard search.
+    """The best-fit descent, then the standard search in the same step order.
 
-    The best-fit descent (greedy_descent) runs first, then the maximal-size
-    split (max_split_descent) on a fresh state; the first to colour every
-    block gives the certificate, with 0 search nodes. Only when both stall
-    does standard_search run, with a fresh memo and node_budget.
+    When greedy_descent colours every block its steps are the certificate,
+    with 0 search nodes. Only when it stalls does standard_search run, with
+    a fresh memo and node_budget; its first dive retraces the descent.
     """
     _require_good(n, seq)
-    for descent in (greedy_descent, max_split_descent):
-        state = SplitState.initial(n, seq.e)
-        if descent(state):
-            return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}))
+    state = SplitState.initial(n, seq.e)
+    if greedy_descent(state):
+        return GreedyResult("certificate", state.to_certificate({"strategy": "greedy"}))
     memo: dict = {}
     status, nodes = standard_search(n, seq.e, memo, node_budget)
     cert = standard_certificate(n, seq.e, memo) if status == "certificate" else None
@@ -615,22 +601,27 @@ def _state_key(sizes, budgets) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _moves(sizes: tuple[int, ...], budgets: tuple[int, ...]):
-    """The steps on the largest block of a state key, in search order: t
-    ascending, then budgets ascending, each equal budget once (equal-budget
-    colours are interchangeable). Yields ((t, budget), child key)."""
+    """The steps on the largest block of a state key, in greedy_descent's
+    order: least leftover budget b - t(size-t) first, ties to the smaller t;
+    each equal budget once (equal-budget colours are interchangeable).
+    Yields ((t, budget), child key)."""
     size = sizes[-1]
-    for t in range(1, size // 2 + 1):
-        need = t * (size - t)
-        if budgets[-1] < need:
-            return  # need grows with t up to size/2: no later t fits either
+    # each budget enters at its largest fitting t, which leaves it the least;
+    # taking (t, b) queues (t-1, b), whose leftover is larger
+    heap = []
+    for i, b in enumerate(budgets):
+        t = _max_step_size(size, b)
+        if t and (i == 0 or b != budgets[i - 1]):
+            heap.append((b - t * (size - t), t, i))
+    heapq.heapify(heap)
+    while heap:
+        left, t, i = heapq.heappop(heap)
+        b = budgets[i]
+        if t > 1:
+            heapq.heappush(heap, (b - (t - 1) * (size - t + 1), t - 1, i))
         child_sizes = tuple(sorted(sizes[:-1] + tuple(p for p in (size - t, t) if p >= 2)))
-        prev = 0
-        for i in range(bisect_left(budgets, need), len(budgets)):
-            b = budgets[i]
-            if b != prev:
-                prev = b
-                left = (b - need,) if b > need else ()
-                yield (t, b), (child_sizes, tuple(sorted(budgets[:i] + budgets[i + 1:] + left)))
+        rest = budgets[:i] + budgets[i + 1:] + ((left,) if left else ())
+        yield (t, b), (child_sizes, tuple(sorted(rest)))
 
 
 def standard_search(n: int, e, memo: dict, node_budget: int | None = None) -> tuple[str, int]:
@@ -640,7 +631,8 @@ def standard_search(n: int, e, memo: dict, node_budget: int | None = None) -> tu
 
     Only the largest block is split: steps on different blocks commute, since
     budgets only go down, so every block left to split can be split first.
-    The first dive is greedy_descent's best fit. memo maps each expanded
+    Moves come in _moves' order, least leftover budget first, so on a fresh
+    memo the first dive is greedy_descent's. memo maps each expanded
     state, (sorted block sizes, sorted nonzero budgets), to the (t, budget)
     it took towards a full colouring, or to None when no step leads to one;
     it may be shared by many calls, and standard_certificate reads a found

@@ -28,7 +28,6 @@ from gallaikit.constructor import (
     cushion,
     drain_with_cushion,
     greedy_descent,
-    max_split_descent,
     read_certificate,
     realize_certificate,
     reduce_large,
@@ -54,6 +53,10 @@ from gallaikit.verifier import (
 )
 
 from conftest import random_sequence
+
+# A paper-regime draw (k = 20, n = 39, c = 0.75) on which the best-fit descent
+# stalls and the standard search realises it.
+SEARCH_39 = (14, 11, 35, 4, 10, 65, 15, 109, 16, 56, 19, 4, 26, 8, 78, 37, 24, 79, 25, 106)
 
 
 class TestStandardStep:
@@ -250,16 +253,18 @@ class TestConstructGreedy:
                 assert verify_certificate(res.certificate, col, seq).ok
 
     @pytest.mark.parametrize("line, nodes, steps_sha256", [
-        ("42 129 34 214 62 5 16 78 177 40 106", 42,
-         "fa6765a2227ea3ea377bae04dd577e5db9110abf0db938294671999266fb795c"),
-        ("48 5 270 224 16 369 1 30 60 19 41 16 77", 48,
-         "7993449bf0e90921df9d0c8aceee2935599241d3770546799cf1d5adcd26b806"),
+        ("39 14 11 35 4 10 65 15 109 16 56 19 4 26 8 78 37 24 79 25 106", 156,
+         "0b92b6189436adaff30388187e5da7138b815cb2ffdc528236e717e34058b17c"),
+        ("20 12 7 29 8 15 3 21 22 18 3 1 17 15 19", 502,
+         "f2ed923759def59081a0d515bf62d0bb33721f363e0e21f1e942d7e9eac356a5"),
     ])
     def test_search_nodes_and_steps_pinned(self, line, nodes, steps_sha256):
-        # sequences from the k3-search benchmark pool on which the best-fit
-        # descent fails; the standard search must visit the same nodes and
-        # emit the same steps as when budgets came to be tried best fit first
+        # a paper-regime draw (k = 20, c = 0.75) and a seeded gamma draw on
+        # which the best-fit descent stalls; the standard search must visit
+        # the same nodes and emit the same steps as when it came to try its
+        # moves in the descent's order
         n, *e = (int(x) for x in line.split())
+        assert not greedy_descent(SplitState.initial(n, e))
         memo: dict = {}
         assert standard_search(n, e, memo) == ("certificate", nodes)
         text = "".join(f"{s.lo} {s.hi} {s.t} {s.colour}\n"
@@ -282,23 +287,21 @@ class TestConstructGreedy:
                 assert standard_certificate(n, seq.e, memo).steps == st.steps, seq.e
         assert hits > 100
 
-    def test_search_runs_only_when_both_descents_fail(self):
-        # the maximal-size split realises the first pinned sequence above
-        # without a search node; on this one both descents stall
-        n, e = 42, (129, 34, 214, 62, 5, 16, 78, 177, 40, 106)
-        res = construct_greedy(n, DistributionSequence.of(n, e))
-        assert res.status == "certificate" and res.nodes == 0
-        n, e = 48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102)
-        assert not max_split_descent(SplitState.initial(n, e))
-        res = construct_greedy(n, DistributionSequence.of(n, e))
-        assert res.status == "certificate" and res.nodes == 48
+    def test_search_runs_only_when_the_descent_fails(self):
+        # the descent realises these two, once pinned search sequences,
+        # without a search node; on the paper-regime draw it stalls
+        for n, e in ((42, (129, 34, 214, 62, 5, 16, 78, 177, 40, 106)),
+                     (48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102))):
+            res = construct_greedy(n, DistributionSequence.of(n, e))
+            assert res.status == "certificate" and res.nodes == 0
+        res = construct_greedy(39, DistributionSequence.of(39, SEARCH_39))
+        assert res.status == "certificate" and res.nodes == 156
         assert res.certificate.metadata == {"strategy": "greedy"}
 
     def test_search_gives_up_past_its_node_budget(self):
-        # the same sequence needs 48 nodes; at 10 the search stops on node 11
+        # the same draw needs 156 nodes; at 10 the search stops on node 11
         # and reports the 10 it was given
-        n, e = 48, (67, 167, 126, 48, 131, 201, 72, 36, 65, 80, 33, 102)
-        res = construct_greedy(n, DistributionSequence.of(n, e), node_budget=10)
+        res = construct_greedy(39, DistributionSequence.of(39, SEARCH_39), node_budget=10)
         assert (res.status, res.nodes, res.certificate) == ("giveup", 10, None)
 
 
@@ -314,7 +317,7 @@ def _gamma_sequence(rng: random.Random, n: int, k: int, shape: float) -> Distrib
     return DistributionSequence.of(n, [b - a for a, b in zip(cuts, cuts[1:])])
 
 
-class TestMaxSplitDescent:
+class TestGreedyDescent:
     def test_step_size_against_brute_force(self):
         # the largest fitting t <= x/2, and clamped to (x-1)//2 the t that
         # construct_staged's stage 2 took before the cap moved to x/2
@@ -338,19 +341,27 @@ class TestMaxSplitDescent:
 
     def test_block_of_two_splits(self):
         st = SplitState.synthetic([2, 2], [1, 1])
-        assert max_split_descent(st)
+        assert greedy_descent(st)
         assert [(s.lo, s.t, s.colour) for s in st.steps] == [(1, 1, 1), (3, 1, 2)]
 
-    def test_largest_t_in_largest_budget(self):
-        # t(6-t) <= 9 allows t = 3, the whole half; then colours 1 and 3 tie
-        # at budget 3, and the tie goes to colour 1
+    def test_largest_fitting_t_leaves_the_least(self):
+        # t(6-t) <= 9 allows t = 3, the whole half, and spends colour 2; then
+        # colours 1 and 3 tie at leftover 1, and the tie goes to colour 1
         st = SplitState.synthetic([6], [3, 9, 3])
-        assert max_split_descent(st)
+        assert greedy_descent(st)
         assert [(s.t, s.colour) for s in st.steps] == [(3, 2), (1, 1), (1, 3), (1, 1), (1, 3)]
+
+    def test_leftover_ties_go_to_the_smaller_t(self):
+        # on size 6, t = 1 spends colour 1's 5 and t = 2 spends colour 2's 8:
+        # both leave 0, and t = 1 wins; on size 5, colour 2 then leaves
+        # 8 - 6 = 2 at t = 2, while colour 3's 2 cannot pay t = 1's 4
+        st = SplitState.synthetic([6], [5, 8, 2])
+        assert greedy_descent(st)
+        assert [(s.t, s.colour) for s in st.steps] == [(1, 1), (2, 2), (1, 2), (1, 3), (1, 3)]
 
     def test_stalls_below_s_minus_one(self):
         st = SplitState.synthetic([4], [2, 2, 2])
-        assert not max_split_descent(st) and not st.steps
+        assert not greedy_descent(st) and not st.steps
 
     def test_certificates_replay_to_the_counts(self, rng):
         realised = 0
@@ -358,19 +369,61 @@ class TestMaxSplitDescent:
             n = rng.randint(2, 40)
             seq = random_sequence(rng, n, rng.randint(1, 8))
             st = SplitState.initial(n, seq.e)
-            if max_split_descent(st):
+            if greedy_descent(st):
                 realised += 1
                 col = realize_certificate(st.to_certificate())
                 assert colour_counts(col) == list(seq.e)
         assert realised > 100
 
+    def test_agrees_with_a_scan_of_every_step(self):
+        # the reference scans every (t, colour) on the largest block for the
+        # least (leftover, t, colour); the two must take the same steps and
+        # stall on the same state
+        def scan_descent(st: SplitState) -> bool:
+            while (big := st.largest_block()) is not None:
+                size = big[1] - big[0] + 1
+                fits = [(b - t * (size - t), t, colour)
+                        for colour, b in enumerate(st.budgets, start=1)
+                        for t in range(1, size // 2 + 1) if t * (size - t) <= b]
+                if not fits:
+                    return False
+                _, t, colour = min(fits)
+                st.apply_step(big[0], t, colour)
+            return True
+
+        rng = random.Random(26)
+        stalls = 0
+        for _ in range(2000):
+            n, k = rng.randint(2, 50), rng.randint(1, 12)
+            seq = (random_sequence(rng, n, k) if rng.random() < 0.5
+                   else _gamma_sequence(rng, n, k, rng.choice((0.3, 0.7, 1, 3))))
+            fast, slow = SplitState.initial(n, seq.e), SplitState.initial(n, seq.e)
+            done = greedy_descent(fast)
+            assert scan_descent(slow) == done and fast.steps == slow.steps, seq.e
+            stalls += not done
+        assert 100 < stalls < 1900
+
+    def test_skewed_draws_and_balanced_grid_need_no_search(self):
+        # 20 gamma(0.7) draws at each (k, n) from one seeded generator, and the
+        # balanced sequence at n = 2k-1 + 7i, i < 29: the descent colours
+        # every one of them
+        rng = random.Random(3)
+        seqs = [_gamma_sequence(rng, n, k, 0.7)
+                for k, n in ((40, 80), (80, 180), (80, 250), (160, 500)) for _ in range(20)]
+        seqs += [balanced_sequence(2 * k - 1 + 7 * i, k)
+                 for k in (20, 50, 100, 300) for i in range(29)]
+        assert len(seqs) == 196
+        for seq in seqs:
+            assert greedy_descent(SplitState.initial(seq.n, seq.e)), (seq.n, seq.k)
+
     @pytest.mark.parametrize("k, n", [(20, 104), (40, 264), (80, 684),
-                                      (20, 52), (40, 132), (80, 342)])
+                                      (20, 52), (40, 132), (80, 342),
+                                      (20, 39), (40, 99), (80, 257), (160, 674)])
     def test_paper_regime_constructs(self, k, n):
-        # n = ceil(c k^1.5 / sqrt(ln k)) with c = 2 or 1: the balanced sequence
-        # and six seeded gamma compositions each get a certificate that
-        # verifies; at c = 1 some need the standard search after both descents
-        assert n in [math.ceil(c * k ** 1.5 / math.sqrt(math.log(k))) for c in (2, 1)]
+        # n = ceil(c k^1.5 / sqrt(ln k)) with c = 2, 1 or 0.75: the balanced
+        # sequence and six seeded gamma compositions each get a certificate
+        # that verifies; at c = 0.75 one k = 20 draw needs the standard search
+        assert n in [math.ceil(c * k ** 1.5 / math.sqrt(math.log(k))) for c in (2, 1, 0.75)]
         rng = random.Random(k)
         seqs = [balanced_sequence(n, k)] + [
             _gamma_sequence(rng, n, k, shape) for shape in (0.3, 0.3, 1, 1, 3, 3)]

@@ -10,9 +10,10 @@ The fixture pins the behaviour of the command line as it was before the
 step-replay kernel, the construct helpers and the scan-free partition search
 were introduced; its forest-target lines, the behaviour as it was before
 construct became one guarded chain; its last four lines, the behaviour after
-the triangle scan came to settle cyclic targets in verify; its k3-n48-dfs
-pair, the behaviour after the standard search came to try budgets best fit
-first. Do not regenerate it to make this test pass: a mismatch means an
+the triangle scan came to settle cyclic targets in verify; its greedy
+certificates and its k3-n39-search pair, the behaviour after the greedy
+constructor became one best-fit descent whose order the standard search
+follows. Do not regenerate it to make this test pass: a mismatch means an
 output changed.
 `python tests/test_golden_cli.py` prints the lines for the checkout it runs
 in.
@@ -34,12 +35,13 @@ from gallaikit.core import (
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_cli.txt"
 
-# A pool sequence of the k3-search benchmark on which the best-fit descent
-# fails; the maximal-size split descent realises it without a search.
+# Two sequences that once needed the standard search; the best-fit descent
+# now realises both without a search node.
 DFS_42 = "129 34 214 62 5 16 78 177 40 106"
-# A sequence on which both descents fail and the standard search runs
-# (48 nodes).
 DFS_48 = "67 167 126 48 131 201 72 36 65 80 33 102"
+# A paper-regime draw (k = 20, n = 39) on which the best-fit descent stalls;
+# the standard search realises it in 156 nodes.
+SEARCH_39 = "14 11 35 4 10 65 15 109 16 56 19 4 26 8 78 37 24 79 25 106"
 
 
 def _random_seq(seed: int, n: int, k: int) -> str:
@@ -75,6 +77,7 @@ CORPUS: list[tuple[str, list[str]]] = [
     *_built("k3-n26-staged", "builtin:K3", 26, ["balanced", "--k", "3"]),
     *_built("k3-n42-dfs", "builtin:K3", 42, [DFS_42]),
     *_built("k3-n48-dfs", "builtin:K3", 48, [DFS_48]),
+    *_built("k3-n39-search", "builtin:K3", 39, [SEARCH_39]),
     *_built("k3-n60-rand", "builtin:K3", 60, [_random_seq(2, 60, 6)]),
     *_built("k3-n120", "builtin:K3", 120, ["balanced", "--k", "10"]),
     ("construct-k4-n6-gives-up", ["construct", "--target", "builtin:K4", "--n", "6",

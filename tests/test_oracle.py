@@ -295,9 +295,9 @@ class TestExactG:
         assert spent["standard"] + spent["exhaustive"] == 1000
 
     def test_standard_search_giving_up_leaves_the_row_inconclusive(self):
-        rep = exact_g(K3, 3, 7, total_node_budget=10)
+        rep = exact_g(K3, 3, 7, total_node_budget=9)
         assert rep.partial and max(rep.per_n) == 4
-        row = rep.per_n[4][[r.e for r in rep.per_n[4]].index((4, 1, 1))]
+        row = rep.per_n[4][[r.e for r in rep.per_n[4]].index((5, 1, 0))]
         assert (row.status, row.standard) == (INCONCLUSIVE, "giveup")
 
     def test_spent_search_reports_its_budget(self):
@@ -351,7 +351,7 @@ class TestIsRealizableStandard:
         # the search splits only the largest block, since steps on different
         # blocks commute; this enumeration splits any block, by any t, in any
         # colour, memoised on the exact budget vector, and must agree, and so
-        # must the greedy constructor, whose descents run before the search
+        # must the greedy constructor, whose descent runs before the search
         def any_split(sizes: tuple, budgets: tuple, memo: dict) -> bool:
             if not sizes:
                 return True

@@ -26,8 +26,6 @@ from gallaikit.constructor import (
     construct_mindeg3,
     read_certificate,
     realize_certificate,
-    standard_certificate,
-    standard_search,
     write_certificate,
 )
 from gallaikit.errors import StructuralMismatch
@@ -429,9 +427,9 @@ class TestVerifyCertificate:
 
 
 class TestReplayKernel:
-    """Damaged copies of one standard search certificate: every replay
-    check must fail at the right step, in verify_certificate,
-    realize_certificate and the CLI."""
+    """Damaged copies of one valid certificate: every replay check must fail
+    at the right step, in verify_certificate, realize_certificate and the
+    CLI."""
 
     SEQ = DistributionSequence.of(6, (1, 1, 13))
     STEPS = [StepRecord(1, 6, 1, 3), StepRecord(1, 5, 1, 3), StepRecord(1, 4, 2, 3),
@@ -449,13 +447,11 @@ class TestReplayKernel:
         "not n-good": (STEPS, (1, 1, 14), None, False),
     }
 
-    def test_greedy_certificate_is_the_undamaged_one(self):
-        # the maximal-size split realises SEQ too, by other steps; the damage
-        # cases are written against the standard search's steps
-        memo: dict = {}
-        assert standard_search(6, self.SEQ.e, memo)[0] == "certificate"
-        cert = standard_certificate(6, self.SEQ.e, memo)
-        assert cert.steps == self.STEPS
+    def test_literal_certificate_is_the_undamaged_one(self):
+        # STEPS is not the certificate the constructors emit for SEQ (the
+        # descent opens with t = 3); it is kept as a literal so that the damage
+        # cases do not move with the step order
+        cert = SplitCertificate(6, 3, self.STEPS)
         assert verify_certificate(cert, realize_certificate(cert), self.SEQ).ok
 
     @pytest.mark.parametrize("case", list(CASES))
