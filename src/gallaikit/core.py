@@ -450,24 +450,29 @@ def colouring_rows(path: str):
         raise ValueError(f"colouring file {path}: k = {k} exceeds the largest colour {_MAX_COLOUR}")
     if len(lines) != n:
         raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {len(lines) - 1}")
-    # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so a file with a sign
-    # in it has its tokens checked; files the writer makes have none
+    # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so every row of a file
+    # with a sign in it is read by the token rule; files the writer makes have
+    # none. So is a row np.fromstring cannot read: it splits at C whitespace
+    # only, str.split also at separators such as "\x1c" and "\u3000"
     signed = any("+" in ln or "-" in ln for ln in lines)
 
     def rows():
         for u in range(1, n):
             try:
-                if signed and not all(map(_is_integer, lines[u].split())):
-                    raise ValueError
-                row = np.fromstring(lines[u], dtype=np.int64, sep=" ")
+                row = None if signed else np.fromstring(lines[u], dtype=np.int64, sep=" ")
             except ValueError:
-                raise ValueError(f"colouring file {path}: row {u} holds a token that is not "
-                                 "a base-10 integer") from None
+                row = None
+            if row is None or len(row) != n - u:
+                tokens = lines[u].split()
+                if not all(map(_is_integer, tokens)):
+                    raise ValueError(f"colouring file {path}: row {u} holds a token that is not "
+                                     "a base-10 integer")
+                row = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
             if len(row) != n - u:
                 raise ValueError(f"colouring file {path}: row {u} has {len(row)} entries, expected {n - u}")
             # in int64, before the int32 matrix would wrap an out-of-range colour
             if row.min() < 1 or row.max() > k:
-                raise ValueError("edge colours must lie in [1..k]")
+                raise ValueError(f"colouring file {path}: row {u} holds a colour outside [1..{k}]")
             yield row
 
     return n, k, rows()

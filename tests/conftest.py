@@ -53,6 +53,16 @@ COLOURING_READER_MESSAGES = [
     ("3\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "one-token"),
     ("3 0\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "k0"),
     ("3 1_0\n1 10\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "k-1_0"),
+    ("", "empty", "empty"),
+    ("3 2147483648\n1 1\n1\n", "k = 2147483648 exceeds the largest colour 2147483647",
+     "k-past-int32"),
+    ("3 2\n1 1\n", "expected 2 rows, got 1", "missing-row"),
+    ("3 2\n1 1 1\n1\n", "row 1 has 3 entries, expected 2", "long-row"),
+    ("3 2\n1 3\n1\n", "row 1 holds a colour outside [1..2]", "colour-past-k"),
+    ("3 2\n1 1\n0\n", "row 2 holds a colour outside [1..2]", "colour-0"),
+    # np.fromstring saturates an int64 overflow, which stays out of range
+    ("3 2\n1 18446744073709551617\n1\n", "row 1 holds a colour outside [1..2]",
+     "colour-past-int64"),
 ]
 
 

@@ -144,21 +144,28 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_corpus(workdir: Path) -> list[str]:
-    """Run every call in CORPUS inside workdir; one fixture line per call."""
+def run_calls(workdir: Path):
+    """Run every call in CORPUS inside workdir, yielding (case, argv, exit
+    code, stdout, stderr) with the file names in argv made absolute."""
     for name, seq in SEQ_FILES.items():
         write_sequence(seq, str(workdir / name))
     for name, H in TARGET_FILES.items():
         write_target(H, str(workdir / name))
-    lines = []
     for case, argv in CORPUS:
         argv = [str(workdir / a) if a.endswith((".col", ".cert", ".seq", ".tgt")) else a
                 for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        yield case, argv, code, out.getvalue(), err.getvalue()
+
+
+def run_corpus(workdir: Path) -> list[str]:
+    """Run every call in CORPUS inside workdir; one fixture line per call."""
+    lines = []
+    for case, argv, code, out, err in run_calls(workdir):
         fields = [case, f"exit={code}"]
-        for label, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        for label, text in (("stdout", out), ("stderr", err)):
             fields.append(f"{label}={_sha(text.replace(str(workdir), '<dir>').encode())}")
         for flag in ("--out", "--cert"):
             if flag in argv and argv[0] == "construct":

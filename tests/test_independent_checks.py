@@ -1,11 +1,14 @@
-"""Infeasibility lines that `certify` prints, checked by two independent checkers.
+"""Outputs of the command line checked by `perfbench/checks.py`, which
+imports nothing from gallaikit: the infeasibility lines that `certify`
+prints, and the colourings, split certificates and partitions of the golden
+CLI corpus.
 
-`perfbench/checks.py` re-derives each kind's inequality from the instance it
-was asked for and imports nothing from gallaikit, so a fault shared by a
-certificate maker and `InfeasibilityCertificate.verify()` cannot hide in it.
-checks.py imports only the standard library and numpy, so it is loaded by
-path. Every case is an instance: the command line that prints the line, and
-the call of the matching `*_cert_problems` that checks it.
+checks.py re-derives each infeasibility kind's inequality from the instance
+it was asked for, so a fault shared by a certificate maker and
+`InfeasibilityCertificate.verify()` cannot hide in it. checks.py imports only
+the standard library and numpy, so it is loaded by path. Every certify case
+is an instance: the command line that prints the line, and the call of the
+matching `*_cert_problems` that checks it.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from gallaikit.bounds import (
 )
 from gallaikit.cli import main
 from gallaikit.core import DistributionSequence, write_sequence
+from test_golden_cli import run_calls
 
 CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
@@ -167,3 +171,37 @@ def test_no_tree_certificate_on_one_vertex():
     # the only sequence on K_1 has max e_i = 0, and K_1 holds no 2-vertex tree
     assert balanced_tree_forced_check(1, 3, 2) is None
     assert tree_forced_check(DistributionSequence.of(1, (0, 0, 0)), 2) is None
+
+
+def _construct_sequence(argv: list[str]) -> tuple[int, ...]:
+    """The counts a construct call of the golden corpus asks for: balanced
+    over --k colours, or inline."""
+    n, seq = int(argv[argv.index("--n") + 1]), argv[argv.index("--seq") + 1]
+    if seq == "balanced":
+        return CHK.balanced(n, int(argv[argv.index("--k") + 1]))
+    return tuple(int(x) for x in seq.split())
+
+
+def test_golden_cli_outputs_pass_the_independent_checks(tmp_path):
+    # every .col/.cert pair construct writes: the counts it was asked for and
+    # a replay of the certificate into the same matrix; every PARTITION line
+    # verify prints: a partition of its colouring joined in its base colours
+    pairs, partitions = 0, 0
+    for case, argv, code, out, _ in run_calls(tmp_path):
+        if argv[0] == "construct" and "--out" in argv and "--cert" in argv:
+            col, cert = (Path(argv[argv.index(flag) + 1]) for flag in ("--out", "--cert"))
+            if not cert.exists():
+                continue
+            n, k, m = CHK.read_colouring_file(col)
+            e = _construct_sequence(argv)
+            assert CHK.count_problems(m, k, e) == [], case
+            assert CHK.replay_problems(n, k, e, CHK.read_certificate_file(cert)[2], m) == [], case
+            pairs += 1
+        for line in out.splitlines():
+            if line.startswith("PARTITION"):
+                m = CHK.read_colouring_file(argv[argv.index("--colouring") + 1])[2]
+                assert CHK.partition_problems(m, *CHK.parse_partition_line(line)) == [], case
+                partitions += 1
+    # construct-k4-n10-mindeg3 writes no split certificate, and
+    # construct-k3-n3-rainbow only an infeasibility certificate
+    assert (pairs, partitions) == (15, 9)

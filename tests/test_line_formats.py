@@ -1,4 +1,4 @@
-"""Malformed sequence, target, split-certificate and infeasibility files.
+"""Malformed sequence, target, split-certificate, infeasibility and colouring files.
 
 Every reader of these line formats reads its file through `core.data_lines`,
 which names the file in each error, and its integers by the token rule of
@@ -6,12 +6,15 @@ which names the file in each error, and its integers by the token rule of
 corpus of malformed files runs through each command that reads them; every
 case must exit 1 with one `error:` line that names the file, and print
 nothing on stdout. Hypothesis then feeds the readers arbitrary text, and the
-command line token soup: neither may fail in any other way.
+command line token soup: neither may fail in any other way. It also mutates
+a valid colouring file, which `verify --colouring` must accept or refuse
+with exit 1, as both colouring readers do.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,7 +28,8 @@ from gallaikit.constructor import (
     SplitCertificate, construct_greedy, read_certificate, realize_certificate, write_certificate,
 )
 from gallaikit.core import (
-    DistributionSequence, TargetGraph, read_sequence, read_target, write_colouring,
+    DistributionSequence, TargetGraph, colour_counts, read_colour_counts, read_colouring,
+    read_sequence, read_target, write_colouring,
 )
 
 # the greedy colouring of K_4 with counts 3 2 1 and its certificate
@@ -259,3 +263,85 @@ def test_cli_never_gives_up_on_a_malformed_file(text, col):
             code, out, err = _run(argv)
             assert code in (0, 1, 2), (argv, err)
             assert code != 1 or (out == "" and err.startswith("error: ")), (argv, out, err)
+
+
+# a valid colouring of K_6 in 4 colours, one data line per row
+COL_LINES = ["6 4", "1 1 1 1 1", "2 2 2 2", "3 3 3", "4 4", "1"]
+# tokens a mutation writes: the soup, colours 0 and k+1, values past int32 and
+# int64 (np.fromstring saturates the latter), floats, and separators that
+# str.split takes and numpy does not
+COL_TOKENS = [*SOUP_TOKENS, "5", "-0", "+1", "2147483648", "18446744073709551617", "1e0",
+              "0x1", "1.0", "nan", "\x1c", "\x0b", "１"]
+
+
+@st.composite
+def mutated_colouring(draw) -> str:
+    lines = [ln.split() for ln in COL_LINES]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        col = draw(st.integers(0, len(lines[row]))) if lines else 0
+        kind = draw(st.sampled_from(["replace", "delete", "insert", "drop-line", "copy-line",
+                                     "join-lines", "text-line"]))
+        if not lines or kind == "text-line":
+            lines.insert(row, [draw(st.text(max_size=12))])
+        elif kind == "replace" and col < len(lines[row]):
+            lines[row][col] = draw(st.sampled_from(COL_TOKENS))
+        elif kind == "delete" and col < len(lines[row]):
+            del lines[row][col]
+        elif kind == "insert":
+            lines[row].insert(col, draw(st.sampled_from(COL_TOKENS)))
+        elif kind == "drop-line":
+            del lines[row]
+        elif kind == "copy-line":
+            lines.insert(row, list(lines[row]))
+        elif kind == "join-lines" and row + 1 < len(lines):
+            lines[row] += lines.pop(row + 1)
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+def _token_rule_rows(text: str) -> list[list[int]] | None:
+    """The rows u = 1..n-1 of a colouring text, read as every other line
+    format is: data lines are the stripped lines not blank or led by "#",
+    split by str.split, each token an optional sign then ASCII digits. None
+    when the text is not a colouring of K_n in colours 1..k <= 2^31-1."""
+    lines = [ln.strip() for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    data = [ln.split() for ln in lines if ln and not ln.startswith("#")]
+    if not data or not all(re.fullmatch("[+-]?[0-9]+", t) for ln in data for t in ln):
+        return None
+    rows = [[int(t) for t in ln] for ln in data]
+    if len(rows[0]) != 2 or min(rows[0]) < 1 or rows[0][1] > 2 ** 31 - 1:
+        return None
+    n, k = rows[0]
+    if len(rows) != n or any(len(row) != n - u or not all(1 <= c <= k for c in row)
+                             for u, row in enumerate(rows[1:], 1)):
+        return None
+    return rows[1:]
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except ValueError as ex:
+        return str(ex)
+
+
+@given(text=mutated_colouring())
+@settings(max_examples=300, deadline=None)
+def test_mutated_colouring_exits_0_or_1(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.col"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(["verify", "--colouring", path])
+        col, counts = _read(read_colouring, path), _read(read_colour_counts, path)
+    # the row check, the matrix reader and the counting reader refuse the
+    # same files with the same message, which names the file, and they
+    # refuse just the files the token rule refuses
+    want = _token_rule_rows(text)
+    if isinstance(col, str):
+        assert want is None, col
+        assert (code, out, err) == (1, "", f"error: {col}\n")
+        assert counts == col and col.startswith(f"colouring file {path}: ")
+    else:
+        assert [col.matrix[u - 1, u:].tolist() for u in range(1, col.n)] == want
+        assert (code, out, err) == (0, "OK\n", "")
+        assert counts == (col.n, col.k, colour_counts(col))

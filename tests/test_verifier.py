@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -14,6 +15,7 @@ from gallaikit.core import (
     DistributionSequence,
     TargetGraph,
     balanced_sequence,
+    colour_counts,
     read_colouring,
     write_colouring,
     write_sequence,
@@ -174,7 +176,109 @@ class TestRainbowSubgraph:
             assert find_rainbow_subgraph(col, TargetGraph.complete(2)).found
 
 
+def _per_pair_clique(col: Colouring, m: int, node_budget: int | None = None) -> SubgraphSearch:
+    """find_rainbow_clique with the triangle scan it had before the band
+    scan: one numpy pass of length n-j-1 per pair i < j. The reference the
+    band scan must match, witness and node count alike."""
+    n, M, nodes = col.n, col.matrix, 0
+    if m > n:
+        return SubgraphSearch(NONE)
+    if m < 3:
+        return SubgraphSearch("found", Embedding(tuple(range(1, m + 1))))
+    for i in range(n - 2):
+        row_i = M[i]
+        for j in range(i + 1, n - 1):
+            c = int(M[i, j])
+            a = row_i[j + 1:]
+            b = M[j, j + 1:]
+            mask = (a != c) & (b != c) & (a != b)
+            if not mask.any():
+                continue
+            stack = [[i, j, w] for w in (np.flatnonzero(mask)[::-1] + j + 1).tolist()]
+            while stack:
+                clique = stack.pop()
+                if len(clique) == m:
+                    return SubgraphSearch("found", Embedding(tuple(v + 1 for v in clique)), nodes)
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return SubgraphSearch("inconclusive", nodes_used=node_budget)
+                top = clique[-1] + 1
+                rows = M[clique, top:]
+                ok = np.logical_and.reduce([(rows[p] != rows[q]) & ~(rows == M[u, v]).any(axis=0)
+                                            for (p, u), (q, v) in combinations(enumerate(clique), 2)])
+                stack.extend(clique + [x] for x in (np.flatnonzero(ok)[::-1] + top).tolist())
+    return SubgraphSearch(NONE, nodes_used=nodes)
+
+
+def _one_rainbow_triangle(n: int, i: int, j: int, w: int) -> Colouring:
+    """Colour 1 everywhere but ij in 2 and jw in 3 (1-based i < j < w): every
+    other triangle has two edges in colour 1, so i j w is the only rainbow one."""
+    m = np.ones((n, n), dtype=np.int32)
+    np.fill_diagonal(m, 0)
+    m[i - 1, j - 1] = m[j - 1, i - 1] = 2
+    m[j - 1, w - 1] = m[w - 1, j - 1] = 3
+    return Colouring(n, 3, m, copy=False)
+
+
 class TestRainbowClique:
+    def test_band_scan_matches_per_pair_loop(self):
+        """Seeded colourings, uniform and Gallai with a rainbow K5 planted:
+        the same status, embedding and nodes_used as the per-pair scan for
+        m = 3, 4, 5, with and without a node budget that cuts the search."""
+        rng = random.Random(27)
+        cols = [random_colouring(rng, rng.randint(3, 30), rng.randint(2, 12)) for _ in range(60)]
+        for _ in range(20):
+            n = rng.randint(8, 60)
+            cols.append(_plant_rainbow(_random_gallai(rng, n, 12),
+                                       tuple(sorted(rng.sample(range(1, n + 1), 5)))))
+        seen = set()
+        for col in cols:
+            for m in (3, 4, 5):
+                for budget in (None, 0, 1, 4):
+                    got = find_rainbow_clique(col, m, budget)
+                    want = _per_pair_clique(col, m, budget)
+                    assert (got.status, got.embedding, got.nodes_used) == (
+                        want.status, want.embedding, want.nodes_used), (col.n, m, budget)
+                    seen.add((m, got.status))
+        assert seen == {(m, s) for m in (3, 4, 5) for s in ("found", "none", "inconclusive")
+                        if m > 3 or s != "inconclusive"}
+
+    def test_band_scan_matches_per_pair_loop_across_bands(self):
+        # n = 700: the rows j of vertex 1 span several bands, and the planted
+        # K5's vertices lie in different ones; the rest is in colours 1 and 2
+        rng = random.Random(28)
+        base = Colouring(700, 10, random_colouring(rng, 700, 2).matrix)
+        col = _plant_rainbow(base, (1, 300, 301, 650, 700))
+        for m, budget in ((3, None), (4, None), (5, None), (5, 1)):
+            got = find_rainbow_clique(col, m, budget)
+            want = _per_pair_clique(col, m, budget)
+            assert (got.status, got.embedding, got.nodes_used) == (
+                want.status, want.embedding, want.nodes_used), (m, budget)
+
+    @pytest.mark.parametrize("ijw", [(1, 2, 800), (3, 11, 790), (3, 300, 790), (3, 85, 86),
+                                     (798, 799, 800)])
+    def test_only_triangle_far_apart(self, ijw):
+        # at n = 800, bands of 2^16 cells split the rows j of i = 3 at
+        # 85 | 86, 176 | 177, 281 | 282, 407 | 408 and 573 | 574 (1-based):
+        # j and w lie in different bands but for the last triangle
+        col = _one_rainbow_triangle(800, *ijw)
+        assert find_rainbow_clique(col, 3) == SubgraphSearch("found", Embedding(ijw), 0)
+        assert find_rainbow_clique(col, 4) == SubgraphSearch(NONE, nodes_used=1)
+        assert find_rainbow_clique(col, 4, node_budget=0).status == "inconclusive"
+
+    def test_scan_memory_is_flat_in_n(self):
+        # the only rainbow triangle lies in row 1, late in j: the scan of
+        # vertex 1 crosses every band; one (n-1)^2 mask would be 9 MB
+        col = _one_rainbow_triangle(3000, 1, 2990, 2995)
+        tracemalloc.start()
+        try:
+            hit = find_rainbow_triangle(col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hit == Embedding((1, 2990, 2995))
+        assert peak < 2 * 2 ** 20, peak
+
     def test_agrees_with_backtracking(self):
         """Seeded corpus, n <= 9 with 2-12 colours: find_rainbow_clique gives
         find_rainbow_subgraph's status and embedding on K3, K4 and K5, and
@@ -277,7 +381,39 @@ def _first_valid_partition(col: Colouring):
     return None
 
 
+def _unfiltered_gallai_partition(col: Colouring):
+    """find_gallai_partition as it was before the candidate filter: every
+    used colour, then every pair of them, is tried as the base set."""
+    M = col.matrix
+    used = [c for c, count in enumerate(colour_counts(col), 1) if count]
+    for base in [(c,) for c in used] + list(combinations(used, 2)):
+        label = verifier._components(~np.isin(M, base))
+        crossing = label[:, None] != label[None, :]
+        if not crossing.any() or (crossing & (M != M[np.ix_(label, label)])).any():
+            continue
+        reps = np.unique(label)
+        between = {(i, j): int(M[reps[i], reps[j]]) for i, j in combinations(range(len(reps)), 2)}
+        parts = tuple(tuple((np.flatnonzero(label == r) + 1).tolist()) for r in reps)
+        return verifier.GallaiPartition(frozenset(between.values()), parts, between)
+    return None
+
+
 class TestGallaiPartition:
+    def test_candidate_filter_matches_unfiltered_loop(self):
+        """Substitution colourings (Gallai), the same with a rainbow triangle
+        planted, and uniform colourings that hold one, n <= 16: the same
+        partition, or None, as the loop over every used colour and pair."""
+        rng = random.Random(29)
+        gallai = [seeded_colouring(seed) for seed in range(1, 600) if seed % 3]
+        planted = [_plant_rainbow(col, tuple(sorted(rng.sample(range(1, col.n + 1), 3))))
+                   for col in gallai if col.n >= 3 and col.k >= 3]
+        uniform = [random_colouring(rng, rng.randint(3, 16), rng.randint(3, 6)) for _ in range(400)]
+        not_gallai = [col for col in planted + uniform if find_rainbow_triangle(col) is not None]
+        outcomes = [find_gallai_partition(col) is None for col in not_gallai]
+        assert min(outcomes.count(True), outcomes.count(False)) >= 100
+        for col in gallai + not_gallai:
+            assert find_gallai_partition(col) == _unfiltered_gallai_partition(col)
+
     def test_split_k4(self):
         p = find_gallai_partition(split_k4())
         assert p is not None
