@@ -7,6 +7,7 @@ gave up. stdout carries machine-readable results, stderr human diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -101,7 +102,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and kept for the process: its
+    defaults are module constants."""
     parser = _Parser(prog="gallaikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
-    data_lines, degeneracy, int_lines, is_n_good, lex_colouring, mirror_upper, paint_lex,
-    zero_matrix,
+    data_lines, degeneracy, int_lines, is_n_good, lex_colouring, zero_matrix,
 )
 from .errors import (
     BadSize,
@@ -697,17 +696,18 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
     if n < 2 * k_eff:
         raise PreconditionViolation(
             f"need n >= 2k for the {k_eff} colours with positive budget; n={n}")
-    matrix = zero_matrix(n)
     budgets = {j: e for e, j in live}
     active = n
     records: list[PeelRecord] = []
+    # each record's edges in lex order: its rare edges, then the bulk colour
+    lex = []
     while budgets and active >= 1:
         order = sorted(budgets, key=lambda j: (-budgets[j], j))
         if len(order) == 1:
             c = order[0]
             assert budgets[c] == comb(active, 2), "base fill out of balance (internal bug)"
-            paint_lex(matrix, 1, active, np.full(comb(active, 2), c, np.int32))
             records.append(PeelRecord(1, active, c, c, 0))
+            lex.append((1, active, (c,), (comb(active, 2),)))
             break
         top, bot = order[0], order[-1]
         e_bot = budgets[bot]
@@ -716,14 +716,13 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
             t += 1
         f = comb(t, 2) + t * (active - t)
         lo = active - t + 1
-        paint_lex(matrix, lo, active, np.repeat(np.int32([bot, top]), [e_bot, f - e_bot]))
         budgets[top] -= f - e_bot
         assert budgets[top] > 0, "bulk colour exhausted (internal bug)"
         del budgets[bot]
         records.append(PeelRecord(lo, active, top, bot, e_bot))
+        lex.append((lo, active, (bot, top), (e_bot, f)))
         active -= t
-    mirror_upper(matrix)
-    return Colouring(n, seq.k, matrix, copy=False), records
+    return Colouring.painted(n, seq.k, lex), records
 
 
 def construct_mindeg3(n: int, seq: DistributionSequence) -> Colouring:

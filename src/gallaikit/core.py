@@ -2,14 +2,18 @@
 
 Vertices and colours are 1-based contiguous integers throughout, so the file
 formats and witness lines are unambiguous. All types are immutable after
-construction and safe to share across workers.
+construction and safe to share across workers. A painted Colouring builds its
+matrix on first read from records that never change: readers that race there
+build equal read-only matrices, and either one kept is the same colouring.
 """
 from __future__ import annotations
 
 import mmap
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -223,10 +227,12 @@ class Colouring:
 
     Backed by a read-only symmetric n x n integer matrix (0 diagonal) for O(1)
     edge access and vectorised row scans. The matrix is copied unless the
-    caller hands over a fresh int32 one with copy=False.
+    caller hands over a fresh int32 one with copy=False. A colouring made by
+    `painted` holds only its lex records: its rows are painted band by band
+    when written, and its matrix is built when something first reads it.
     """
 
-    __slots__ = ("n", "k", "_m")
+    __slots__ = ("n", "k", "_m", "_records")
 
     def __init__(self, n: int, k: int, matrix: np.ndarray, copy: bool = True):
         if n < 1 or k < 1:
@@ -252,15 +258,63 @@ class Colouring:
         self.n = n
         self.k = k
         self._m = m
+        self._records = None
+
+    @staticmethod
+    def painted(n: int, k: int, records) -> "Colouring":
+        """The colouring whose edges the lex records (lo, hi, colours, ends)
+        paint (see paint_lex); every edge must lie in exactly one record.
+
+        No matrix is made here: upper_rows paints the rows it is asked for,
+        and the first read of .matrix paints every row into one, mirrors it
+        and validates it as __init__ does. The records are kept, so a reader
+        racing that first read still paints its rows from them.
+        """
+        if n < 1 or k < 1:
+            raise ValueError("need n >= 1 and k >= 1")
+        for lo, hi, colours, ends in records:
+            edges = (lo - 1) * (hi - lo + 1) + comb(hi - lo + 1, 2)
+            if ends[-1] != edges:
+                raise ValueError(f"stream has {ends[-1]} colours for {edges} edges")
+        col = Colouring.__new__(Colouring)
+        col.n, col.k, col._m, col._records = n, k, None, tuple(records)
+        return col
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._m is None:
+            m = zero_matrix(self.n)
+            self._paint(m[:-1, 1:], 1, self.n)
+            mirror_upper(m)
+            self._m = Colouring(self.n, self.k, m, copy=False).matrix
         return self._m
+
+    def _paint(self, rows: np.ndarray, a: int, b: int) -> None:
+        # rows a.. hold no edge of a record with hi <= a
+        for lo, hi, colours, ends in self._records:
+            if hi > a:
+                paint_lex(rows, a, b, lo, hi, colours, ends)
+
+    def upper_rows(self, u: int, v: int) -> np.ndarray:
+        """The colours of the edges (w, w+1), ..., (w, n) for w = u..v-1, one
+        row after another, in a fresh int32 array. A painted colouring with no
+        matrix yet paints these rows alone, and refuses them unless every
+        colour lies in [1..k]."""
+        m = self._m
+        if m is None:
+            rows = np.zeros((v - u, self.n - u), dtype=np.int32)
+            self._paint(rows, u, v)
+        else:
+            rows = m[u - 1:v - 1, u:]
+        band = np.concatenate([rows[i, i:] for i in range(v - u)])
+        if m is None and (band.min() < 1 or band.max() > self.k):
+            raise ValueError("edge colours must lie in [1..k]")
+        return band
 
     def colour_of(self, u: int, v: int) -> int:
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
             raise ValueError(f"bad edge ({u},{v})")
-        return int(self._m[u - 1, v - 1])
+        return int(self.matrix[u - 1, v - 1])
 
     @staticmethod
     def from_edge_colours(n: int, k: int, colours: dict[Edge, int]) -> "Colouring":
@@ -284,14 +338,14 @@ class Colouring:
     def induced(self, vertices: list[int]) -> "Colouring":
         """Sub-colouring on the given vertices, relabelled 1..len(vertices)."""
         idx = np.array([v - 1 for v in vertices], dtype=np.intp)
-        return Colouring(len(vertices), self.k, self._m[np.ix_(idx, idx)])
+        return Colouring(len(vertices), self.k, self.matrix[np.ix_(idx, idx)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Colouring)
             and self.n == other.n
             and self.k == other.k
-            and np.array_equal(self._m, other._m)
+            and np.array_equal(self.matrix, other.matrix)
         )
 
     def __repr__(self) -> str:
@@ -310,27 +364,54 @@ def colour_counts(col: Colouring) -> list[int]:
     return counts[1:].tolist()
 
 
-def paint_lex(matrix: np.ndarray, lo: int, hi: int, stream: np.ndarray) -> None:
-    """Paint the edges (u,v), u < v, with lo <= v <= hi, in lexicographic
-    order with the colours of stream, into the upper triangle of matrix only:
-    (u,v) goes to matrix[u-1, v-1], row by row. The caller mirrors the upper
-    triangle (mirror_upper) once every edge is painted."""
+def _runs(colours, ends, s: int, e: int):
+    """(colour, p, q): the pieces [p, q) of stream positions [s, e) that lie
+    in one run each, in order; run i has colour colours[i] and ends at ends[i]."""
+    i = bisect_right(ends, s)
+    while s < e:
+        q = min(ends[i], e)
+        if q > s:
+            yield colours[i], s, q
+        s = q
+        i += 1
+
+
+def paint_lex(rows: np.ndarray, a: int, b: int, lo: int, hi: int, colours, ends) -> None:
+    """Paint rows u = a..b-1 of the edges (u,v), u < v, lo <= v <= hi, which a
+    run-length stream colours in lexicographic order: run i has colour
+    colours[i] and ends at stream position ends[i], the last at the edge
+    count (lo-1)(hi-lo+1) + C(hi-lo+1, 2). rows[i, j] is the edge
+    (a+i, a+1+j), as in m[a-1:b-1, a:] of an n x n matrix m; nothing else
+    is written. The rows above lo form a rectangle over columns lo..hi,
+    painted run by run with at most three slices each; each row from lo on
+    is painted alone."""
     w = hi - lo + 1
-    r = (lo - 1) * w
-    if len(stream) != r + comb(w, 2):
-        raise ValueError(f"stream has {len(stream)} colours for {r + comb(w, 2)} edges")
-    matrix[:lo - 1, lo - 1:hi] = np.reshape(stream[:r], (lo - 1, w))
-    for u in range(lo, hi):
-        matrix[u - 1, u:hi] = stream[r:r + hi - u]
+    top = min(b, lo)
+    if a < top:
+        block, base = rows[:top - a, lo - a - 1:hi - a], (a - 1) * w
+        for c, p, q in _runs(colours, ends, base, (top - 1) * w):
+            (i, j), (i1, j1) = divmod(p - base, w), divmod(q - base, w)
+            if i == i1:
+                block[i, j:j1] = c
+                continue
+            block[i, j:] = c
+            block[i + 1:i1] = c
+            if j1:
+                block[i1, :j1] = c
+    u = max(a, lo)
+    # the rows lo..u-1 of the triangle hold hi-lo, ..., hi-u+1 edges
+    r = (lo - 1) * w + (u - lo) * (2 * hi - lo - u + 1) // 2
+    for u in range(u, min(b, hi)):
+        row = rows[u - a, u - a:hi - a]
+        for c, p, q in _runs(colours, ends, r, r + hi - u):
+            row[p - r:q - r] = c
         r += hi - u
 
 
 def lex_colouring(seq: DistributionSequence) -> Colouring:
     """Lex-order fill honouring the exact counts; no structure guaranteed."""
-    matrix = zero_matrix(seq.n)
-    paint_lex(matrix, 1, seq.n, np.repeat(np.arange(1, seq.k + 1, dtype=np.int32), seq.e))
-    mirror_upper(matrix)
-    return Colouring(seq.n, seq.k, matrix, copy=False)
+    record = (1, seq.n, tuple(range(1, seq.k + 1)), tuple(accumulate(seq.e)))
+    return Colouring.painted(seq.n, seq.k, [record])
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +490,17 @@ def write_colouring(col: Colouring, path: str) -> None:
     u = 1..n-1 the colours of (u, u+1), ..., (u, n) in decimal, one space
     apart, one line per u.
 
-    numpy formats each band of rows as a (cells, width + 1) byte array, width
-    being the digit count of the band's largest colour: each cell's digits,
-    then a space or the row's newline, less the leading zeros. Time and memory
-    are O(n^2) whatever the colour values are.
+    numpy formats each band of rows, col.upper_rows(u, v), as a
+    (cells, width + 1) byte array, width being the digit count of the band's
+    largest colour: each cell's digits, then a space or the row's newline,
+    less the leading zeros. Time and memory are O(n^2) whatever the colour
+    values are; a painted colouring is written with no n x n matrix.
     """
-    n, m = col.n, col.matrix
+    n = col.n
     with open(path, "wb") as f:
         f.write(f"{n} {col.k}\n".encode())
         for u, v, cells in _bands(n):
-            band = np.concatenate([m[w - 1, w:] for w in range(u, v)])
+            band = col.upper_rows(u, v)
             width = len(str(int(band.max())))
             text = np.empty((cells, width + 1), dtype=np.uint8)
             keep = np.ones((cells, width + 1), dtype=bool)

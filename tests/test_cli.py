@@ -414,13 +414,13 @@ def test_verify_seq_alone_builds_no_matrix(tmp_path, monkeypatch, capsys):
             run("verify", "--colouring", col, "--seq", seqf, *extra)
 
 
-# A fresh interpreter runs `gallaikit ARGS`, then prints the peak resident
-# size of its own address space, VmHWM. Its ru_maxrss would be no less than
-# the size of the test process it was forked from: Linux carries that peak
-# across the exec.
+# A fresh interpreter imports the CLI and runs `gallaikit ARGS` (nothing when
+# ARGS is empty), then prints the peak resident size of its own address space,
+# VmHWM. Its ru_maxrss would be no less than the size of the test process it
+# was forked from: Linux carries that peak across the exec.
 _CHILD = ("import sys\n"
           "from gallaikit.cli import main\n"
-          "code = main(sys.argv[1:])\n"
+          "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
           "with open('/proc/self/status') as f:\n"
           "    print(next(ln for ln in f if ln.startswith('VmHWM:')).strip())\n"
           "sys.exit(code)\n")
@@ -457,15 +457,37 @@ def test_largest_k_on_two_vertices_verifies_in_one_gib(tmp_path):
 
 
 @_READS_VMHWM
-def test_verify_seq_peaks_below_construct(tmp_path):
-    # construct holds the n x n matrix; verify --seq holds none
+def test_bulk_construct_and_verify_seq_peak_near_a_bare_import(tmp_path):
+    # at n = 3000 the int32 matrix takes 36 MB: K4 construct --out paints its
+    # colouring band by band and verify --seq counts rows as it reads them,
+    # so neither holds it; verify --seq holds the file's data lines
     col, seqf = tmp_path / "bulk.col", tmp_path / "bulk.seq"
     write_sequence(balanced_sequence(3000, 60), seqf)
+    bare = _gallaikit_child([])
     built = _gallaikit_child(["construct", "--target", "builtin:K4", "--n", 3000,
                               "--seq", seqf, "--out", col])
     checked = _gallaikit_child(["verify", "--colouring", col, "--seq", seqf])
-    assert (built.returncode, checked.returncode) == (0, 0), built.stderr + checked.stderr
-    assert _peak_kb(checked) < _peak_kb(built)
+    assert (bare.returncode, built.returncode, checked.returncode) == (0, 0, 0), \
+        built.stderr + checked.stderr
+    assert _peak_kb(built) < _peak_kb(bare) + 9 * 1024
+    assert _peak_kb(checked) < _peak_kb(bare) + 18 * 1024
+
+
+def test_k4_construct_out_builds_no_matrix(tmp_path, monkeypatch, capsys):
+    want = tmp_path / "want.col"
+    painted = constructor.construct_mindeg3(40, balanced_sequence(40, 7))
+    write_colouring(Colouring(40, 7, painted.matrix), want)
+
+    def refuse(n):
+        raise _MatrixBuilt
+
+    for module in (core, constructor):
+        monkeypatch.setattr(module, "zero_matrix", refuse)
+    col = tmp_path / "out.col"
+    assert run("construct", "--target", "builtin:K4", "--n", "40", "--seq", "balanced",
+               "--k", "7", "--out", col) == 0
+    assert "strategy=mindeg3" in capsys.readouterr().out
+    assert col.read_bytes() == want.read_bytes()
 
 
 STAR8_72 = "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144"

@@ -272,8 +272,9 @@ class TestConstructGreedy:
         assert hashlib.sha256(text.encode()).hexdigest() == steps_sha256
 
     def test_search_first_dive_is_best_fit(self, rng):
-        # t = 1 in the smallest budget that pays s-1 comes first, so wherever
-        # the best-fit descent colours everything the search takes its steps,
+        # the search tries each state's moves in the descent's order, the
+        # (t, colour) that leaves the least budget first, so wherever the
+        # best-fit descent colours everything the search takes its steps,
         # one node per step
         hits = 0
         for _ in range(300):
