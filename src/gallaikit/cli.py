@@ -27,13 +27,7 @@ from .core import (
     write_colouring,
 )
 from .constructor import construct, read_certificate, write_certificate
-from .errors import (
-    GallaiKitError,
-    NotConstructed,
-    PreconditionViolation,
-    RangeError,
-    StructuralMismatch,
-)
+from .errors import GallaiKitError, PreconditionViolation, RangeError
 from .verifier import find_gallai_partition, partition_line, settle_target, verify_certificate
 
 EXIT_OK = 0
@@ -155,13 +149,12 @@ def _build_parser() -> _Parser:
 def _cmd_construct(args) -> int:
     H = _load_target(args.target)
     seq = _n_good(_load_sequence(args.seq, args.n, args.k))
-    try:
-        result = construct(H, args.n, seq)
-    except NotConstructed as ex:
-        for reason in ex.reasons:
+    result = construct(H, args.n, seq)
+    if result.status == "unknown":
+        for reason in result.reasons:
             print(f"gave up: {reason}", file=sys.stderr)
-        if getattr(ex, "witness", None) is not None:
-            print(ex.witness.witness_line("RAINBOW"), file=sys.stderr)
+        if result.witness is not None:
+            print(result.witness.witness_line("RAINBOW"), file=sys.stderr)
         return EXIT_INCONCLUSIVE
     if result.status == "infeasible":
         cert = result.infeasibility
@@ -213,10 +206,7 @@ def _cmd_verify(args) -> int:
     if args.cert:
         cert = read_certificate(args.cert)
         replay_seq = seq or DistributionSequence.of(n, counts)
-        try:
-            report = verify_certificate(cert, col, replay_seq)
-        except StructuralMismatch as ex:
-            raise _UsageError(str(ex))
+        report = verify_certificate(cert, col, replay_seq)
         cert_ok = report.ok
         if not report.ok:
             where = f" at step {report.failed_step}" if report.failed_step else ""

@@ -29,7 +29,6 @@ from .errors import (
     BudgetExceeded,
     CushionTooSmall,
     GallaiKitError,
-    NotConstructed,
     PreconditionViolation,
     StagedInfeasible,
     TooLargeT,
@@ -676,20 +675,11 @@ def standard_certificate(n: int, e, memo: dict) -> SplitCertificate:
 # Min-degree-3 constructor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeelRecord:
-    """One peel level: vertices [lo..hi] whose incident edges within the
-    surviving graph got bulk_colour except for rare_edges of rare_colour."""
-
-    lo: int
-    hi: int
-    bulk_colour: int
-    rare_colour: int
-    rare_edges: int
-
-
-def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colouring, list[PeelRecord]]:
-    """construct_mindeg3 plus the peel log used by structural checks."""
+def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colouring, list[tuple]]:
+    """construct_mindeg3 plus its peel log: the lex records (lo, hi, colours,
+    ends) that Colouring.painted paints, one a level. A peel of [lo..hi] is
+    (lo, hi, (rare, bulk), (rare edges, all its edges)): in lex order its rare
+    edges come first. The base fill is (1, hi, (c,), (C(hi,2),))."""
     _require_good(n, seq)
     live = [(e, j + 1) for j, e in enumerate(seq.e) if e > 0]
     k_eff = len(live)
@@ -698,16 +688,13 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
             f"need n >= 2k for the {k_eff} colours with positive budget; n={n}")
     budgets = {j: e for e, j in live}
     active = n
-    records: list[PeelRecord] = []
-    # each record's edges in lex order: its rare edges, then the bulk colour
-    lex = []
+    records = []
     while budgets and active >= 1:
         order = sorted(budgets, key=lambda j: (-budgets[j], j))
         if len(order) == 1:
             c = order[0]
             assert budgets[c] == comb(active, 2), "base fill out of balance (internal bug)"
-            records.append(PeelRecord(1, active, c, c, 0))
-            lex.append((1, active, (c,), (comb(active, 2),)))
+            records.append((1, active, (c,), (comb(active, 2),)))
             break
         top, bot = order[0], order[-1]
         e_bot = budgets[bot]
@@ -719,10 +706,9 @@ def construct_mindeg3_trace(n: int, seq: DistributionSequence) -> tuple[Colourin
         budgets[top] -= f - e_bot
         assert budgets[top] > 0, "bulk colour exhausted (internal bug)"
         del budgets[bot]
-        records.append(PeelRecord(lo, active, top, bot, e_bot))
-        lex.append((lo, active, (bot, top), (e_bot, f)))
+        records.append((lo, active, (bot, top), (e_bot, f)))
         active -= t
-    return Colouring.painted(n, seq.k, lex), records
+    return Colouring.painted(n, seq.k, records), records
 
 
 def construct_mindeg3(n: int, seq: DistributionSequence) -> Colouring:
@@ -753,12 +739,13 @@ def realize_certificate(cert: SplitCertificate) -> Colouring:
 
 @dataclass
 class ConstructionResult:
-    status: str  # "ok" | "infeasible"
+    status: str  # "ok" | "infeasible" | "unknown"
     colouring: Colouring | None = None
     certificate: SplitCertificate | None = None
     strategy: str = ""
     infeasibility: object | None = None
     reasons: list[str] = field(default_factory=list)
+    witness: object | None = None  # "unknown": a rainbow copy of H in the tried colouring
 
 
 def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> ConstructionResult:
@@ -768,9 +755,9 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
     fill when H does not fit in K_n; mindeg3 at degeneracy >= 3 and n >= 2k;
     staged, then greedy or the clash bound, at degeneracy >= 2; and for
     forests the forest step, which returns a colouring only after
-    verifier.settle_target finds no rainbow copy of H in it. Raises
-    NotConstructed (with the reason chain) when no link succeeds and no
-    infeasibility certificate applies.
+    verifier.settle_target finds no rainbow copy of H in it. Status "unknown",
+    with the reason chain, when no link succeeds and no infeasibility
+    certificate applies.
     """
     from . import bounds
     from .verifier import settle_target
@@ -810,15 +797,15 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
                 "infeasible", infeasibility=cert,
                 reasons=reasons + ["clash bound forces a rainbow complete graph"])
         reasons.append("clash bound inconclusive")
-        raise NotConstructed(reasons)
+        return ConstructionResult("unknown", reasons=reasons)
 
     # Forests and edgeless targets: realisability is the exception, not the rule.
     # tree_forced_check is not tried: as max e >= C(n,2)/k, its max e <= C(n,2)/(6m)^(6m)
     # needs k >= 12^12 listed budgets (m >= 2). `certify --kind tree` needs only n and k.
     if not H.edges:
-        raise NotConstructed(
-            [f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "
-             "in every colouring; no sequence is realisable"])
+        return ConstructionResult("unknown", reasons=[
+            f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "
+            "in every colouring; no sequence is realisable"])
     # Attempt some realisation of the counts and search it exhaustively; a
     # standard colouring carries no guarantee against rainbow trees.
     res = construct_greedy(n, seq)
@@ -836,12 +823,12 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
         return ConstructionResult("ok", col, cert, attempt,
                                   reasons=["verified rainbow-free explicitly"])
     if search.found:
-        raise NotConstructed(
-            reasons + [f"{attempt} colouring contains a rainbow copy of the forest target"],
+        return ConstructionResult("unknown", reasons=reasons + [
+            f"{attempt} colouring contains a rainbow copy of the forest target"],
             witness=search.embedding)
-    raise NotConstructed(
-        reasons + [f"{attempt} colouring: rainbow search hit its node budget of "
-                   f"{search.nodes_used} nodes"])
+    return ConstructionResult("unknown", reasons=reasons + [
+        f"{attempt} colouring: rainbow search hit its node budget of "
+        f"{search.nodes_used} nodes"])
 
 
 # ---------------------------------------------------------------------------

@@ -67,16 +67,3 @@ class NotGallai(GallaiKitError):
         self.witness = witness
         super().__init__(f"rainbow triangle at {witness.vertices}")
 
-
-class NotConstructed(GallaiKitError):
-    """No construction strategy produced a colouring; carries the reason chain
-    and, when an attempted colouring failed verification, the rainbow witness."""
-
-    def __init__(self, reasons: list[str], witness=None):
-        self.reasons = list(reasons)
-        self.witness = witness
-        super().__init__("; ".join(reasons))
-
-
-class StructuralMismatch(GallaiKitError):
-    """Certificate, colouring and sequence disagree on n or k."""

@@ -21,7 +21,7 @@ from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
     _BLOCK_CELLS, _row_blocks, colour_counts, degeneracy,
 )
-from .errors import PreconditionViolation, StructuralMismatch
+from .errors import PreconditionViolation
 
 FOUND = "found"
 NONE = "none"
@@ -391,11 +391,12 @@ def verify_certificate(cert: SplitCertificate, col: Colouring,
                        seq: DistributionSequence) -> VerificationReport:
     """Replay cert under seq's budgets (replay_certificate checks every step
     precondition, the budgets and that every block is coloured), then compare
-    the realised colouring with col edge for edge."""
+    the realised colouring with col edge for edge. ValueError when the three
+    disagree on n or k."""
     if not (cert.n == col.n == seq.n):
-        raise StructuralMismatch(f"n mismatch: cert={cert.n} colouring={col.n} seq={seq.n}")
+        raise ValueError(f"n mismatch: cert={cert.n} colouring={col.n} seq={seq.n}")
     if not (cert.k == col.k == seq.k):
-        raise StructuralMismatch(f"k mismatch: cert={cert.k} colouring={col.k} seq={seq.k}")
+        raise ValueError(f"k mismatch: cert={cert.k} colouring={col.k} seq={seq.k}")
     report, realized = replay_certificate(cert, seq.e)
     if report.ok and not np.array_equal(realized, col.matrix):
         diff = np.argwhere(realized != col.matrix)

@@ -22,7 +22,7 @@ from gallaikit.core import (
     write_sequence,
     write_target,
 )
-from gallaikit.constructor import construct_greedy
+from gallaikit.constructor import construct, construct_greedy, realize_certificate
 from gallaikit.oracle import n_good_multisets
 from gallaikit.verifier import embedding_is_rainbow, find_rainbow_subgraph
 
@@ -213,6 +213,21 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {what} mismatch: ")
+
+    @pytest.mark.parametrize("n, k, err", [
+        (6, 2, "error: n mismatch: cert=6 colouring=5 seq=5\n"),
+        (5, 3, "error: k mismatch: cert=3 colouring=2 seq=2\n"),
+    ])
+    def test_certificate_for_another_size_is_refused(self, n, k, err, tmp_path, capsys):
+        # the colouring is for n = 5, k = 2; the certificate is built for (n, k)
+        col, cert = tmp_path / "out.col", tmp_path / "other.cert"
+        assert run("construct", "--target", "builtin:K3", "--n", "5",
+                   "--seq", "balanced", "--k", "2", "--out", col) == 0
+        assert run("construct", "--target", "builtin:K3", "--n", n,
+                   "--seq", "balanced", "--k", k, "--cert", cert) == 0
+        capsys.readouterr()
+        assert run("verify", "--colouring", col, "--cert", cert) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 class TestCertifyCommand:
@@ -504,6 +519,16 @@ def test_forest_search_finds_rainbow_star_in_standard_colouring(tmp_path, capsys
     assert "greedy colouring contains a rainbow copy" in err
     assert "RAINBOW " in err and "node budget" not in err
     assert out == "" and not (tmp_path / "out.col").exists()
+
+
+def test_forest_give_up_witness_is_rainbow_in_the_greedy_colouring():
+    seq = DistributionSequence.of(72, [int(x) for x in STAR8_72.split()])
+    star = TargetGraph.star(8)
+    res = construct(star, 72, seq)
+    assert res.status == "unknown" and res.colouring is None
+    assert res.reasons[-1] == "greedy colouring contains a rainbow copy of the forest target"
+    col = realize_certificate(construct_greedy(72, seq).certificate)
+    assert embedding_is_rainbow(col, star, res.witness)
 
 
 def test_forest_search_out_of_budget_gives_up():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gallaikit import core
-from gallaikit.constructor import PeelRecord, construct, construct_mindeg3_trace
+from gallaikit.constructor import construct, construct_mindeg3_trace
 from gallaikit.core import (
     Colouring, DistributionSequence, TargetGraph, balanced_sequence, lex_colouring, mirror_upper,
     paint_lex, write_colouring,
@@ -37,7 +37,9 @@ def reference_lex(seq: DistributionSequence) -> np.ndarray:
     return matrix
 
 
-def reference_mindeg3(seq: DistributionSequence) -> tuple[np.ndarray, list[PeelRecord]]:
+def reference_mindeg3(seq: DistributionSequence) -> tuple[np.ndarray, list[tuple]]:
+    """The peel's matrix cell by cell, and its lex records (lo, hi, colours,
+    ends): rare colour first, run ends counted over the record's edges."""
     n = seq.n
     matrix = np.zeros((n, n), dtype=np.int32)
     budgets = {j + 1: e for j, e in enumerate(seq.e) if e > 0}
@@ -50,7 +52,7 @@ def reference_mindeg3(seq: DistributionSequence) -> tuple[np.ndarray, list[PeelR
             for u in range(1, active + 1):
                 for v in range(u + 1, active + 1):
                     matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = c
-            records.append(PeelRecord(1, active, c, c, 0))
+            records.append((1, active, (c,), (comb(active, 2),)))
             break
         top, bot = order[0], order[-1]
         e_bot = budgets[bot]
@@ -60,6 +62,7 @@ def reference_mindeg3(seq: DistributionSequence) -> tuple[np.ndarray, list[PeelR
         f = comb(t, 2) + t * (active - t)
         lo = active - t + 1
         left = e_bot
+        edges = 0
         for u in range(1, active + 1):
             for v in range(max(u + 1, lo), active + 1):
                 if left > 0:
@@ -68,9 +71,10 @@ def reference_mindeg3(seq: DistributionSequence) -> tuple[np.ndarray, list[PeelR
                 else:
                     c = top
                 matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = c
+                edges += 1
         budgets[top] -= f - e_bot
         del budgets[bot]
-        records.append(PeelRecord(lo, active, top, bot, e_bot))
+        records.append((lo, active, (bot, top), (e_bot, edges)))
         active -= t
     return matrix, records
 
@@ -203,7 +207,7 @@ def test_painted_colouring_pickles():
 
 def test_spill_case_spills():
     _, recs = construct_mindeg3_trace(10, DistributionSequence.of(10, (28, 17)))
-    lo, hi, rare = recs[0].lo, recs[0].hi, recs[0].rare_edges
+    lo, hi, _, (rare, _) = recs[0]
     assert rare > (lo - 1) * (hi - lo + 1)
 
 
@@ -225,7 +229,7 @@ def test_painted_mindeg3_at_n700_writes_the_bytes_of_its_matrix(tmp_path):
     col, recs = construct_mindeg3_trace(seq.n, seq)
     bands = list(core._bands(seq.n))
     edges = {v for _, v, _ in bands[:-1]}
-    assert len(bands) > 3 and any(r.lo < v < r.hi for r in recs for v in edges)
+    assert len(bands) > 3 and any(lo < v < hi for lo, hi, _, _ in recs for v in edges)
     painted, matrix = _painted_and_matrix_bytes(col, tmp_path)
     assert painted == matrix
     assert np.array_equal(col.matrix, reference_mindeg3(seq)[0])

@@ -30,7 +30,6 @@ from gallaikit.constructor import (
     realize_certificate,
     write_certificate,
 )
-from gallaikit.errors import StructuralMismatch
 from gallaikit.verifier import (
     NONE,
     Embedding,
@@ -558,7 +557,7 @@ class TestVerifyCertificate:
         seq = DistributionSequence.of(6, (7, 8))
         cert = construct_greedy(6, seq).certificate
         col = realize_certificate(cert)
-        with pytest.raises(StructuralMismatch):
+        with pytest.raises(ValueError, match="^k mismatch: cert=2 colouring=2 seq=3$"):
             verify_certificate(cert, col, DistributionSequence.of(6, (7, 8, 0)))
 
 
