@@ -28,7 +28,9 @@ from .core import (
 )
 from .constructor import construct, read_certificate, write_certificate
 from .errors import GallaiKitError, PreconditionViolation, RangeError
-from .verifier import find_gallai_partition, partition_line, settle_target, verify_certificate
+from .verifier import (
+    INCONCLUSIVE, find_gallai_partition, partition_line, settle_target, verify_certificate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,11 +208,10 @@ def _cmd_verify(args) -> int:
     if args.cert:
         cert = read_certificate(args.cert)
         replay_seq = seq or DistributionSequence.of(n, counts)
-        report = verify_certificate(cert, col, replay_seq)
-        cert_ok = report.ok
-        if not report.ok:
-            where = f" at step {report.failed_step}" if report.failed_step else ""
-            failures.append(f"certificate replay failed{where}: {report.reason}")
+        failure = verify_certificate(cert, col, replay_seq)
+        cert_ok = failure is None
+        if failure is not None:
+            failures.append(failure)
 
     if args.target:
         H = _load_target(args.target)
@@ -218,7 +219,7 @@ def _cmd_verify(args) -> int:
         hit = settle_target(col, H, cert_ok, args.budget)
         if hit.found:
             failures.append(hit.embedding.witness_line("TRIANGLE" if triangle else "RAINBOW"))
-        elif hit.status == "inconclusive":
+        elif hit.status == INCONCLUSIVE:
             inconclusive.append("rainbow search hit its node budget")
         elif triangle and 2 <= col.n <= 64:
             # no rainbow triangle: col is Gallai

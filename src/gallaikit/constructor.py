@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
     data_lines, degeneracy, int_lines, is_n_good, lex_colouring, zero_matrix,
@@ -143,40 +141,31 @@ class SplitState:
         return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata or {}))
 
 
-@dataclass
-class VerificationReport:
-    ok: bool
-    failed_step: int | None = None
-    reason: str | None = None
-
-
-def replay_certificate(cert: SplitCertificate, budgets) -> tuple[VerificationReport, np.ndarray]:
+def replay_certificate(cert: SplitCertificate, budgets):
     """Apply cert's steps to {[1..n]} under the given per-colour budgets and
-    paint each step's crossing edges into an n x n matrix.
+    yield each step's crossing edges as (rows, cols, colour): rows and cols
+    are the 0-based slices of the rectangle above the diagonal.
 
-    The report names the first step whose block is not active or that
-    SplitState.apply_step refuses; it also fails when the budgets do not sum
-    to C(n,2) or blocks are left uncoloured. On success every edge is painted.
+    ValueError, with the line verify prints, at the first step whose block is
+    not active or that SplitState.apply_step refuses, and when the budgets do
+    not sum to C(n,2) or blocks are left uncoloured. A replay that raises
+    none has yielded each edge exactly once.
     """
-    n = cert.n
-    matrix = zero_matrix(n)
     try:
-        state = SplitState.initial(n, budgets)
+        state = SplitState.initial(cert.n, budgets)
     except ValueError as ex:
-        return VerificationReport(False, None, str(ex)), matrix
+        raise ValueError(f"certificate replay failed: {ex}") from None
     for idx, step in enumerate(cert.steps, start=1):
         lo, hi, t = step.lo, step.hi, step.t
-        if state.blocks.get(lo) != hi:
-            return VerificationReport(False, idx, f"no active block [{lo}..{hi}]"), matrix
         try:
+            if state.blocks.get(lo) != hi:
+                raise BadSize(f"no active block [{lo}..{hi}]")
             state.apply_step(lo, t, step.colour)
         except GallaiKitError as ex:
-            return VerificationReport(False, idx, str(ex)), matrix
-        matrix[lo - 1:hi - t, hi - t:hi] = step.colour
-        matrix[hi - t:hi, lo - 1:hi - t] = step.colour
+            raise ValueError(f"certificate replay failed at step {idx}: {ex}") from None
+        yield slice(lo - 1, hi - t), slice(hi - t, hi), step.colour
     if state.blocks:
-        return VerificationReport(False, None, f"{len(state.blocks)} blocks left uncoloured"), matrix
-    return VerificationReport(True), matrix
+        raise ValueError(f"certificate replay failed: {len(state.blocks)} blocks left uncoloured")
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +714,15 @@ def construct_mindeg3(n: int, seq: DistributionSequence) -> Colouring:
 def realize_certificate(cert: SplitCertificate) -> Colouring:
     """Replay a certificate into the concrete edge colouring it describes,
     under the per-colour totals its own steps spend; ValueError when the
-    replay fails."""
+    replay fails. Each step paints its rectangle and the mirror image."""
     totals = [0] * cert.k
     for s in cert.steps:
         if 1 <= s.colour <= cert.k:
             totals[s.colour - 1] += s.t * (s.hi - s.lo + 1 - s.t)
-    report, matrix = replay_certificate(cert, totals)
-    if not report.ok:
-        where = f" at step {report.failed_step}" if report.failed_step else ""
-        raise ValueError(f"certificate does not replay{where}: {report.reason}")
+    matrix = zero_matrix(cert.n)
+    for rows, cols, colour in replay_certificate(cert, totals):
+        matrix[rows, cols] = colour
+        matrix[cols, rows] = colour
     return Colouring(cert.n, cert.k, matrix, copy=False)
 
 

@@ -338,7 +338,7 @@ class Colouring:
     def induced(self, vertices: list[int]) -> "Colouring":
         """Sub-colouring on the given vertices, relabelled 1..len(vertices)."""
         idx = np.array([v - 1 for v in vertices], dtype=np.intp)
-        return Colouring(len(vertices), self.k, self.matrix[np.ix_(idx, idx)])
+        return Colouring(len(vertices), self.k, self.matrix[np.ix_(idx, idx)], copy=False)
 
     def __eq__(self, other) -> bool:
         return (

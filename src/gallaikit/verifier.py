@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .constructor import SplitCertificate, VerificationReport, replay_certificate
+from .constructor import SplitCertificate, replay_certificate
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
     _BLOCK_CELLS, _row_blocks, colour_counts, degeneracy,
@@ -310,10 +310,12 @@ def _components(join: np.ndarray) -> np.ndarray:
     return label
 
 
-def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
+def find_gallai_partition(col: Colouring,
+                          counts: list[int] | None = None) -> GallaiPartition | None:
     """The Gallai partition of the first valid candidate base set, on a
     colouring already known to be Gallai. No rainbow-triangle scan is made: a
     caller that does not know col is Gallai runs find_rainbow_triangle first.
+    A caller that holds colour_counts(col) passes it as counts.
 
     Tries candidate base sets, singletons then pairs in colour order, of
     the colours on at least n-1 edges; no other colour can be in the first
@@ -343,7 +345,8 @@ def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
     M = col.matrix
-    wide = [c for c, count in enumerate(colour_counts(col), 1) if count >= col.n - 1]
+    counts = colour_counts(col) if counts is None else counts
+    wide = [c for c, count in enumerate(counts, 1) if count >= col.n - 1]
     for base in [(c,) for c in wide] + list(combinations(wide, 2)):
         join = M != base[0]
         if len(base) == 2:
@@ -388,21 +391,28 @@ def partition_line(p: GallaiPartition) -> str:
 # ---------------------------------------------------------------------------
 
 def verify_certificate(cert: SplitCertificate, col: Colouring,
-                       seq: DistributionSequence) -> VerificationReport:
+                       seq: DistributionSequence) -> str | None:
     """Replay cert under seq's budgets (replay_certificate checks every step
-    precondition, the budgets and that every block is coloured), then compare
-    the realised colouring with col edge for edge. ValueError when the three
-    disagree on n or k."""
+    precondition, the budgets and that every block is coloured) and compare
+    each step's edges with col's as they come. None when cert realises col,
+    else the line verify prints: the replay failure if there is one, or else
+    the lexicographically least edge on which the two differ. ValueError when
+    the three disagree on n or k."""
     if not (cert.n == col.n == seq.n):
         raise ValueError(f"n mismatch: cert={cert.n} colouring={col.n} seq={seq.n}")
     if not (cert.k == col.k == seq.k):
         raise ValueError(f"k mismatch: cert={cert.k} colouring={col.k} seq={seq.k}")
-    report, realized = replay_certificate(cert, seq.e)
-    if report.ok and not np.array_equal(realized, col.matrix):
-        diff = np.argwhere(realized != col.matrix)
-        u, v = int(diff[0][0]) + 1, int(diff[0][1]) + 1
-        return VerificationReport(
-            False, None,
-            f"edge ({min(u, v)},{max(u, v)}): certificate gives "
-            f"{int(realized[u - 1, v - 1])}, colouring has {int(col.matrix[u - 1, v - 1])}")
-    return report
+    M, wrong = col.matrix, []
+    try:
+        for rows, cols, colour in replay_certificate(cert, seq.e):
+            differs = M[rows, cols] != colour
+            if np.count_nonzero(differs):  # on the small rectangles, faster than .any()
+                r, c = divmod(int(differs.argmax()), differs.shape[1])
+                wrong.append((rows.start + r + 1, cols.start + c + 1, colour))
+    except ValueError as ex:
+        return str(ex)
+    if not wrong:
+        return None
+    u, v, colour = min(wrong)
+    return (f"certificate replay failed: edge ({u},{v}): certificate gives {colour}, "
+            f"colouring has {int(M[u - 1, v - 1])}")

@@ -31,3 +31,7 @@ def test_k3_search_runs_correctly():
 
 def test_k4_bulk_runs_correctly():
     _run_workload("k4-bulk")
+
+
+def test_k3_roundtrip_runs_correctly():
+    _run_workload("k3-roundtrip")

@@ -505,6 +505,23 @@ def test_k4_construct_out_builds_no_matrix(tmp_path, monkeypatch, capsys):
     assert col.read_bytes() == want.read_bytes()
 
 
+def test_verify_cert_builds_one_matrix(tmp_path, monkeypatch, capsys):
+    # the reader builds the colouring's matrix; the certificate is compared
+    # with it step by step, not replayed into a second one
+    col, cert = tmp_path / "out.col", tmp_path / "out.cert"
+    assert run("construct", "--target", "builtin:K3", "--n", "70", "--seq", "balanced",
+               "--k", "5", "--out", col, "--cert", cert) == 0
+    calls = []
+    for module in (core, constructor):
+        def counted(n, module=module, orig=module.zero_matrix):
+            calls.append(module.__name__)
+            return orig(n)
+
+        monkeypatch.setattr(module, "zero_matrix", counted)
+    assert run("verify", "--colouring", col, "--cert", cert, "--target", "builtin:K3") == 0
+    assert calls == ["gallaikit.core"]
+
+
 STAR8_72 = "141 213 354 69 217 169 79 261 31 77 44 42 100 170 78 24 10 168 159 6 144"
 
 

@@ -521,7 +521,7 @@ class TestVerifyCertificate:
         res = construct_greedy(6, seq)
         assert res.status == "certificate"
         col = realize_certificate(res.certificate)
-        assert verify_certificate(res.certificate, col, seq).ok
+        assert verify_certificate(res.certificate, col, seq) is None
 
     def test_flipped_edge_fails(self):
         seq = DistributionSequence.of(6, (7, 8))
@@ -533,25 +533,24 @@ class TestVerifyCertificate:
         m[0, 1] = other
         m[1, 0] = other
         bad = Colouring(6, 2, m)
-        report = verify_certificate(cert, bad, seq)
-        assert not report.ok
-        assert "(1,2)" in report.reason
+        line = verify_certificate(cert, bad, seq)
+        assert line is not None
+        assert "(1,2)" in line
 
     def test_budget_violation_detected(self):
         # single step colouring 2*2 = 4 edges with a colour holding only 3
         cert = SplitCertificate(4, 2, [StepRecord(1, 4, 2, 1)])
         col = Colouring.from_edge_colours(
             4, 2, {(1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (1, 2): 2, (3, 4): 2})
-        report = verify_certificate(cert, col, DistributionSequence.of(4, (3, 3)))
-        assert not report.ok
-        assert report.failed_step == 1
-        assert "budget" in report.reason
+        line = verify_certificate(cert, col, DistributionSequence.of(4, (3, 3)))
+        assert line is not None
+        assert line.startswith("certificate replay failed at step 1: ")
+        assert "budget" in line
 
     def test_incomplete_certificate_fails(self):
         cert = SplitCertificate(4, 1, [StepRecord(1, 4, 1, 1)])
         col = Colouring.monochromatic(4)
-        report = verify_certificate(cert, col, DistributionSequence.of(4, (6,)))
-        assert not report.ok
+        assert verify_certificate(cert, col, DistributionSequence.of(4, (6,))) is not None
 
     def test_structural_mismatch_raises(self):
         seq = DistributionSequence.of(6, (7, 8))
@@ -587,7 +586,7 @@ class TestReplayKernel:
         # descent opens with t = 3); it is kept as a literal so that the damage
         # cases do not move with the step order
         cert = SplitCertificate(6, 3, self.STEPS)
-        assert verify_certificate(cert, realize_certificate(cert), self.SEQ).ok
+        assert verify_certificate(cert, realize_certificate(cert), self.SEQ) is None
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_damaged_certificate_fails(self, case, tmp_path, capsys):
@@ -595,9 +594,10 @@ class TestReplayKernel:
         cert = SplitCertificate(6, 3, steps)
         col = realize_certificate(SplitCertificate(6, 3, self.STEPS))
         seq = DistributionSequence.of(6, budgets) if budgets else self.SEQ
-        report = verify_certificate(cert, col, seq)
-        assert not report.ok
-        assert report.failed_step == failed_step
+        line = verify_certificate(cert, col, seq)
+        assert line is not None
+        where = f" at step {failed_step}" if failed_step else ""
+        assert line.startswith(f"certificate replay failed{where}: ")
         if structural:
             with pytest.raises(ValueError):
                 realize_certificate(cert)
@@ -611,6 +611,39 @@ class TestReplayKernel:
         out, err = capsys.readouterr()
         assert code == 2, err
         assert "certificate replay failed" in out
+        assert line + "\n" in out  # the line verify_certificate returned
+
+    def _verify_swapped(self, steps, tmp_path, capsys) -> tuple[int, str]:
+        """verify --cert --seq on the colouring of STEPS with the colours of
+        edges (1,2) and (1,6) swapped, against the certificate of steps. The
+        swap keeps the counts, so only the certificate check can fail."""
+        m = realize_certificate(SplitCertificate(6, 3, self.STEPS)).matrix.copy()
+        m[0, 1], m[0, 5] = m[0, 5], m[0, 1]
+        m[1, 0], m[5, 0] = m[0, 1], m[0, 5]
+        col_path, cert_path, seq_path = (tmp_path / f for f in ("c.col", "c.cert", "s.seq"))
+        write_colouring(Colouring(6, 3, m), str(col_path))
+        write_certificate(SplitCertificate(6, 3, steps), str(cert_path))
+        write_sequence(self.SEQ, str(seq_path))
+        code = main(["verify", "--colouring", str(col_path), "--cert", str(cert_path),
+                     "--seq", str(seq_path)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    def test_mismatch_names_the_least_edge_not_the_first_step(self, tmp_path, capsys):
+        # step 1 paints (1,6) and step 4 paints (1,2): the later step holds
+        # the lexicographically earlier edge, and that edge is the one named
+        assert self._verify_swapped(self.STEPS, tmp_path, capsys) == (
+            2, "certificate replay failed: edge (1,2): certificate gives 1, colouring has 3\n")
+
+    @pytest.mark.parametrize("steps, line", [
+        (STEPS[:4], "certificate replay failed: 1 blocks left uncoloured"),
+        (STEPS[:4] + [StepRecord(5, 6, 1, 2)],
+         "certificate replay failed at step 5: no active block [5..6]"),
+    ])
+    def test_replay_failure_wins_over_a_mismatch(self, steps, line, tmp_path, capsys):
+        # both swapped edges are painted, wrongly, before the replay fails
+        assert self._verify_swapped(steps, tmp_path, capsys) == (2, line + "\n")
 
 
 class TestOneTriangleScan:
