@@ -332,13 +332,12 @@ def peel_splitting_process(col: Colouring, stop: int) -> PeelTrace:
         sub = col.induced(active)
         # induced sub-colourings of a Gallai colouring are Gallai: no rescan
         x = len(active)
-        counts = colour_counts(sub)
-        p = find_gallai_partition(sub, counts)
+        p = find_gallai_partition(sub)
         assert p is not None, f"{x}-vertex Gallai block without a partition (internal bug)"
         smallest = min(p.parts, key=lambda part: (len(part), part))
         t = len(smallest)
         base = tuple(sorted(p.base_colours))
-        base_freq = sum(counts[c - 1] for c in base)
+        base_freq = sum(colour_counts(sub)[c - 1] for c in base)
         trace.steps.append(PeelStep(x, t, x - t, base, t * (x - t), base_freq))
         peeled = {active[v - 1] for v in smallest}
         active = [v for v in active if v not in peeled]

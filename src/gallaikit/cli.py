@@ -20,10 +20,10 @@ from .core import (
     colouring_rows,
     int_tokens,
     is_n_good,
-    read_colour_counts,
     read_colouring,
     read_sequence,
     read_target,
+    row_colour_counts,
     write_colouring,
 )
 from .constructor import construct, read_certificate, write_certificate
@@ -182,17 +182,11 @@ def _cmd_verify(args) -> int:
     verifier.settle_target decides the target, its searches under --budget. A
     K3 verify at 2 <= n <= 64 that finds no rainbow triangle also prints a
     Gallai partition. Only --cert and --target read the colouring into a
-    matrix; --seq alone counts its rows as they are parsed, and with none of
-    the three the rows are only checked.
+    matrix, counted at most once; --seq alone counts the rows once its n and
+    k match the header, and with none of the three the rows are only checked.
     """
-    if args.cert or args.target:
-        col = read_colouring(args.colouring)
-        n, k, counts = col.n, col.k, (colour_counts(col) if args.seq or args.cert else None)
-    elif args.seq:
-        n, k, counts = read_colour_counts(args.colouring)
-    else:
-        for _ in colouring_rows(args.colouring)[2]:
-            pass
+    col = read_colouring(args.colouring) if args.cert or args.target else None
+    n, k, rows = colouring_rows(args.colouring) if col is None else (col.n, col.k, None)
     failures: list[str] = []
     inconclusive: list[str] = []
 
@@ -201,13 +195,17 @@ def _cmd_verify(args) -> int:
         for what, mine, its in (("n", n, seq.n), ("k", k, seq.k)):
             if mine != its:
                 raise _UsageError(f"{what} mismatch: colouring={mine} seq={its}")
+        counts = row_colour_counts(n, k, rows) if col is None else colour_counts(col)
         if counts != list(seq.e):
             failures.append(f"counts {counts} != sequence {list(seq.e)}")
+    elif col is None:
+        for _ in rows:
+            pass
 
     cert_ok = False
     if args.cert:
         cert = read_certificate(args.cert)
-        replay_seq = seq or DistributionSequence.of(n, counts)
+        replay_seq = seq or DistributionSequence.of(n, colour_counts(col))
         failure = verify_certificate(cert, col, replay_seq)
         cert_ok = failure is None
         if failure is not None:

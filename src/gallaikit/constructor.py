@@ -137,8 +137,8 @@ class SplitState:
             self.blocks[hi - t + 1] = hi
         self.steps.append(StepRecord(lo, hi, t, colour))
 
-    def to_certificate(self, metadata: dict[str, str] | None = None) -> SplitCertificate:
-        return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata or {}))
+    def to_certificate(self, metadata: dict[str, str]) -> SplitCertificate:
+        return SplitCertificate(self.n, self.k, list(self.steps), dict(metadata))
 
 
 def replay_certificate(cert: SplitCertificate, budgets):
@@ -774,39 +774,36 @@ def construct(H: TargetGraph, n: int, seq: DistributionSequence) -> Construction
             return ConstructionResult("ok", realize_certificate(cert), cert, "staged")
         except StagedInfeasible as ex:
             reasons.append(str(ex))
-        res = construct_greedy(n, seq)
-        if res.status == "certificate":
-            return ConstructionResult("ok", realize_certificate(res.certificate),
-                                      res.certificate, "greedy")
+    elif not H.edges:
+        return ConstructionResult("unknown", reasons=[
+            f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "
+            "in every colouring; no sequence is realisable"])
+
+    res = construct_greedy(n, seq)
+    cert = res.certificate  # None unless res.status is "certificate"
+    if cert is None:
         reasons.append(f"greedy: {res.status}")
+    elif deg >= STANDARD_DEGENERACY:
+        return ConstructionResult("ok", realize_certificate(cert), cert, "greedy")
+    if deg >= STANDARD_DEGENERACY:
         # degeneracy >= 2 needs H.m >= 3, and H.m <= n past the trivial fill
-        cert = bounds.clash_bound_check(seq, H.m)
-        if cert is not None:
+        clash = bounds.clash_bound_check(seq, H.m)
+        if clash is not None:
             return ConstructionResult(
-                "infeasible", infeasibility=cert,
+                "infeasible", infeasibility=clash,
                 reasons=reasons + ["clash bound forces a rainbow complete graph"])
         reasons.append("clash bound inconclusive")
         return ConstructionResult("unknown", reasons=reasons)
 
-    # Forests and edgeless targets: realisability is the exception, not the rule.
+    # Forests: realisability is the exception, not the rule.
     # tree_forced_check is not tried: as max e >= C(n,2)/k, its max e <= C(n,2)/(6m)^(6m)
     # needs k >= 12^12 listed budgets (m >= 2). `certify --kind tree` needs only n and k.
-    if not H.edges:
-        return ConstructionResult("unknown", reasons=[
-            f"edgeless target on {H.m} <= {n} vertices is contained rainbow-ly "
-            "in every colouring; no sequence is realisable"])
     # Attempt some realisation of the counts and search it exhaustively; a
     # standard colouring carries no guarantee against rainbow trees.
-    res = construct_greedy(n, seq)
-    if res.status == "certificate":
-        cert = res.certificate
-        col = realize_certificate(cert)
-        attempt = "greedy"
+    if cert is not None:
+        col, attempt = realize_certificate(cert), "greedy"
     else:
-        reasons.append(f"greedy: {res.status}")
-        cert = None
-        col = lex_colouring(seq)
-        attempt = "lex-fill"
+        col, attempt = lex_colouring(seq), "lex-fill"
     search = settle_target(col, H, cert_ok=False)
     if search.exhausted:
         return ConstructionResult("ok", col, cert, attempt,

@@ -2,9 +2,9 @@
 
 Vertices and colours are 1-based contiguous integers throughout, so the file
 formats and witness lines are unambiguous. All types are immutable after
-construction and safe to share across workers. A painted Colouring builds its
-matrix on first read from records that never change: readers that race there
-build equal read-only matrices, and either one kept is the same colouring.
+construction and safe to share across workers. What a Colouring computes on
+first read and keeps (a painted one's matrix, any one's colour counts) comes
+from data that never change, so readers that race there keep equal values.
 """
 from __future__ import annotations
 
@@ -230,9 +230,10 @@ class Colouring:
     caller hands over a fresh int32 one with copy=False. A colouring made by
     `painted` holds only its lex records: its rows are painted band by band
     when written, and its matrix is built when something first reads it.
+    The colour counts are taken on the first colour_counts call and kept.
     """
 
-    __slots__ = ("n", "k", "_m", "_records")
+    __slots__ = ("n", "k", "_m", "_records", "_counts")
 
     def __init__(self, n: int, k: int, matrix: np.ndarray, copy: bool = True):
         if n < 1 or k < 1:
@@ -259,6 +260,7 @@ class Colouring:
         self.k = k
         self._m = m
         self._records = None
+        self._counts = None
 
     @staticmethod
     def painted(n: int, k: int, records) -> "Colouring":
@@ -277,7 +279,7 @@ class Colouring:
             if ends[-1] != edges:
                 raise ValueError(f"stream has {ends[-1]} colours for {edges} edges")
         col = Colouring.__new__(Colouring)
-        col.n, col.k, col._m, col._records = n, k, None, tuple(records)
+        col.n, col.k, col._m, col._records, col._counts = n, k, None, tuple(records), None
         return col
 
     @property
@@ -353,7 +355,14 @@ class Colouring:
 
 
 def colour_counts(col: Colouring) -> list[int]:
-    """Entry i-1 = number of edges with colour i; entries sum to C(n,2)."""
+    """Entry i-1 = number of edges with colour i; entries sum to C(n,2).
+    Counted on the first call and kept on col; each call returns a new list."""
+    if col._counts is None:
+        col._counts = _count_matrix(col)
+    return list(col._counts)
+
+
+def _count_matrix(col: Colouring) -> tuple[int, ...]:
     m = col.matrix
     counts = np.zeros(col.k + 1, dtype=np.int64)
     # blocks of at least k cells: the k+1 bins of every block cost O(n^2 + k) in all
@@ -361,7 +370,7 @@ def colour_counts(col: Colouring) -> list[int]:
         # the diagonal block is symmetric with a zero diagonal: it holds each of its edges twice
         counts += np.bincount(m[lo:hi, lo:hi].ravel(), minlength=col.k + 1) // 2
         counts += np.bincount(m[lo:hi, hi:].ravel(), minlength=col.k + 1)
-    return counts[1:].tolist()
+    return tuple(counts[1:].tolist())
 
 
 def _runs(colours, ends, s: int, e: int):
@@ -569,11 +578,10 @@ def read_colouring(path: str) -> Colouring:
     return Colouring(n, k, m, copy=False)
 
 
-def read_colour_counts(path: str) -> tuple[int, int, list[int]]:
-    """n, k and the colour_counts of a .col file, read with no matrix: the
-    rows are bincounted in bands of at least k cells, so the k+1 bins of
-    every band cost O(n^2 + k) in all."""
-    n, k, rows = colouring_rows(path)
+def row_colour_counts(n: int, k: int, rows) -> list[int]:
+    """The colour_counts of the (n, k, rows) colouring_rows returns, with no
+    matrix: the rows are bincounted in bands of at least k cells, so the k+1
+    bins of every band cost O(n^2 + k) in all."""
     counts = np.zeros(k + 1, dtype=np.int64)
     band = np.empty(max(_BLOCK_CELLS, k) + n, dtype=np.int64)
     cells = 0
@@ -584,7 +592,7 @@ def read_colour_counts(path: str) -> tuple[int, int, list[int]]:
         if cells >= max(_BLOCK_CELLS, k) or len(row) == 1:
             counts += np.bincount(band[:cells], minlength=k + 1)
             cells = 0
-    return n, k, counts[1:].tolist()
+    return counts[1:].tolist()
 
 
 def write_target(H: TargetGraph, path: str) -> None:

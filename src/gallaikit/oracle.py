@@ -321,7 +321,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
         return OracleResult(INCONCLUSIVE, nodes=node_budget)
     if not hit:
         return OracleResult(UNREALIZABLE, nodes=nodes)
-    return OracleResult(REALIZABLE, Colouring(n, k, np.array(M, dtype=np.int32)), nodes)
+    return OracleResult(REALIZABLE, Colouring(n, k, np.array(M, dtype=np.int32), copy=False), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class Embedding:
 
     vertices: tuple[int, ...]
 
-    def witness_line(self, tag: str = "WITNESS") -> str:
+    def witness_line(self, tag: str) -> str:
         return tag + " " + " ".join(str(v) for v in self.vertices)
 
 
@@ -255,7 +255,7 @@ def settle_target(col: Colouring, H: TargetGraph, cert_ok: bool,
     is a standard colouring. A cycle crosses the first split that separates
     two of its vertices at least twice, in that split's one colour, so col has
     no rainbow cycle; this settles every H that is not a forest.
-    "colours": col uses fewer distinct colours than H has edges.
+    "colours": col's colour_counts show fewer colours than H has edges.
     "peel": H has degeneracy >= 3, so it contains a subgraph of minimum
     degree >= 3, and peels_two_colours(col) rules out a rainbow copy of one.
     A complete H then goes to find_rainbow_clique, which is exact and whose
@@ -310,12 +310,10 @@ def _components(join: np.ndarray) -> np.ndarray:
     return label
 
 
-def find_gallai_partition(col: Colouring,
-                          counts: list[int] | None = None) -> GallaiPartition | None:
+def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     """The Gallai partition of the first valid candidate base set, on a
     colouring already known to be Gallai. No rainbow-triangle scan is made: a
     caller that does not know col is Gallai runs find_rainbow_triangle first.
-    A caller that holds colour_counts(col) passes it as counts.
 
     Tries candidate base sets, singletons then pairs in colour order, of
     the colours on at least n-1 edges; no other colour can be in the first
@@ -345,8 +343,7 @@ def find_gallai_partition(col: Colouring,
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
     M = col.matrix
-    counts = colour_counts(col) if counts is None else counts
-    wide = [c for c, count in enumerate(counts, 1) if count >= col.n - 1]
+    wide = [c for c, count in enumerate(colour_counts(col), 1) if count >= col.n - 1]
     for base in [(c,) for c in wide] + list(combinations(wide, 2)):
         join = M != base[0]
         if len(base) == 2:

@@ -8,7 +8,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from gallaikit.core import Colouring, DistributionSequence, TargetGraph
+from gallaikit.core import (
+    Colouring, DistributionSequence, TargetGraph, colouring_rows, row_colour_counts,
+)
 
 
 def brute_degeneracy(H: TargetGraph) -> int:
@@ -38,6 +40,13 @@ def random_graph(rng: random.Random, m: int, p: float = 0.5) -> TargetGraph:
     edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
              if rng.random() < p]
     return TargetGraph.from_edges(m, edges)
+
+
+def counted_colouring(path) -> tuple[int, int, list[int]]:
+    """n, k and the colour counts of a .col file, counted as verify --seq
+    counts it: row by row, with no matrix."""
+    n, k, rows = colouring_rows(path)
+    return n, k, row_colour_counts(n, k, rows)
 
 
 # (text of a malformed .col file, the message after "colouring file PATH: ",

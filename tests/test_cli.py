@@ -408,6 +408,23 @@ def test_counting_reader_messages(text, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: colouring file {path}: {message}\n")
 
 
+def test_seq_is_checked_before_the_rows_it_would_count(tmp_path, capsys):
+    # --seq alone: the sequence is read and matched with the header before
+    # any row; with --target the rows are read into the matrix first
+    path, seqf = tmp_path / "bad.col", tmp_path / "seq.txt"
+    path.write_text("3 2\n1 x\n1\n")
+    seqf.write_text("3 3\n1 1 1\n")
+    assert run("verify", "--colouring", path, "--seq", seqf) == 1
+    assert capsys.readouterr() == ("", "error: k mismatch: colouring=2 seq=3\n")
+    seqf.write_text("3 2\n")
+    assert run("verify", "--colouring", path, "--seq", seqf) == 1
+    assert capsys.readouterr() == ("", f"error: sequence file {seqf}: expected the line "
+                                       "'n k', then one line of k budgets\n")
+    assert run("verify", "--colouring", path, "--seq", seqf, "--target", "builtin:K3") == 1
+    assert capsys.readouterr() == ("", f"error: colouring file {path}: row 1 holds a token "
+                                       "that is not a base-10 integer\n")
+
+
 class _MatrixBuilt(Exception):
     pass
 
@@ -464,11 +481,17 @@ def _peak_kb(proc: subprocess.CompletedProcess) -> int:
 def test_largest_k_on_two_vertices_verifies_in_one_gib(tmp_path):
     # no --seq, --cert or --target: nothing is counted, so nothing takes
     # O(k) memory; counting 2**31 colours would ask for 16 GiB
-    path = tmp_path / "kmax.col"
+    path, seqf = tmp_path / "kmax.col", tmp_path / "three.seq"
     path.write_text("2 2147483647\n1\n")
     proc = _gallaikit_child(["verify", "--colouring", path], address_space=1 << 30)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == "OK"
+    # a --seq for another k is refused from the header, before any row is read
+    seqf.write_text("2 3\n1 0 0\n")
+    proc = _gallaikit_child(["verify", "--colouring", path, "--seq", seqf],
+                            address_space=1 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: k mismatch: colouring=2147483647 seq=3\n"
 
 
 @_READS_VMHWM

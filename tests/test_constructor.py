@@ -371,7 +371,7 @@ class TestGreedyDescent:
             st = SplitState.initial(n, seq.e)
             if greedy_descent(st):
                 realised += 1
-                col = realize_certificate(st.to_certificate())
+                col = realize_certificate(st.to_certificate({}))
                 assert colour_counts(col) == list(seq.e)
         assert realised > 100
 

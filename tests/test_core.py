@@ -20,7 +20,6 @@ from gallaikit.core import (
     degeneracy,
     is_n_good,
     mirror_upper,
-    read_colour_counts,
     read_colouring,
     read_sequence,
     read_target,
@@ -30,7 +29,9 @@ from gallaikit.core import (
     zero_matrix,
 )
 
-from conftest import COLOURING_READER_MESSAGES, brute_degeneracy, petersen, random_graph
+from conftest import (
+    COLOURING_READER_MESSAGES, brute_degeneracy, counted_colouring, petersen, random_graph,
+)
 
 
 def test_public_names_resolve():
@@ -254,7 +255,7 @@ class TestColouring:
             m = np.triu(gen.integers(1, k + 1, (n, n), dtype=np.int32), 1)
             col = Colouring(n, k, m + m.T)
             write_colouring(col, tmp_path / "a.col")
-            assert read_colour_counts(tmp_path / "a.col") == (n, k, colour_counts(col))
+            assert counted_colouring(tmp_path / "a.col") == (n, k, colour_counts(col))
 
     def test_induced(self):
         col = Colouring.from_edge_colours(
@@ -376,7 +377,7 @@ class TestFileFormats:
         # both count vectors take O(k) memory (ROADMAP item 12), which a k
         # near 2**31 would make gigabytes
         if k <= 10 ** 6:
-            assert read_colour_counts(p) == (n, k, colour_counts(read_colouring(p)))
+            assert counted_colouring(p) == (n, k, colour_counts(read_colouring(p)))
 
     # Each case pins its exact message.
     @pytest.mark.parametrize("text, message", [case[:2] for case in COLOURING_READER_MESSAGES],

@@ -46,7 +46,7 @@ def case_line(seed: int) -> str:
               "col=" + hashlib.sha256(upper.tobytes()).hexdigest()[:16]]
     tri = find_rainbow_triangle(col)
     if tri is not None:
-        fields.append(tri.witness_line())
+        fields.append(tri.witness_line("WITNESS"))
     elif (p := find_gallai_partition(col)) is None:
         fields.append("NO_PARTITION")
     else:

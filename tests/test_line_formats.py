@@ -28,9 +28,11 @@ from gallaikit.constructor import (
     SplitCertificate, construct_greedy, read_certificate, realize_certificate, write_certificate,
 )
 from gallaikit.core import (
-    DistributionSequence, TargetGraph, colour_counts, read_colour_counts, read_colouring,
+    DistributionSequence, TargetGraph, colour_counts, read_colouring,
     read_sequence, read_target, write_colouring,
 )
+
+from conftest import counted_colouring
 
 # the greedy colouring of K_4 with counts 3 2 1 and its certificate
 SEQ = DistributionSequence.of(4, (3, 2, 1))
@@ -332,7 +334,7 @@ def test_mutated_colouring_exits_0_or_1(text):
         path = Path(d) / "fuzz.col"
         path.write_text(text, encoding="utf-8")
         code, out, err = _run(["verify", "--colouring", path])
-        col, counts = _read(read_colouring, path), _read(read_colour_counts, path)
+        col, counts = _read(read_colouring, path), _read(counted_colouring, path)
     # the row check, the matrix reader and the counting reader refuse the
     # same files with the same message, which names the file, and they
     # refuse just the files the token rule refuses
