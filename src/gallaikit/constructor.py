@@ -719,7 +719,7 @@ def realize_certificate(cert: SplitCertificate) -> Colouring:
     for s in cert.steps:
         if 1 <= s.colour <= cert.k:
             totals[s.colour - 1] += s.t * (s.hi - s.lo + 1 - s.t)
-    matrix = zero_matrix(cert.n)
+    matrix = zero_matrix(cert.n, cert.k)
     for rows, cols, colour in replay_certificate(cert, totals):
         matrix[rows, cols] = colour
         matrix[cols, rows] = colour

@@ -161,8 +161,9 @@ def balanced_sequence(n: int, k: int) -> DistributionSequence:
 
 
 # Row-block scans of an n x n matrix take this many cells (at least one row)
-# at a time, so their temporaries stay small however large n is.
-_BLOCK_CELLS = 1 << 18
+# at a time: 1 MB of their largest temporaries, 8 bytes a cell in any matrix
+# type (bincount's intp copy); 2^17 beat 2^16 and 2^18 at n = 700 and 2000.
+_BLOCK_CELLS = (1 << 20) // 8
 
 # A matrix of at least this many bytes gets a private anonymous mapping of its
 # own, which is unmapped as soon as the matrix is freed. From malloc, glibc
@@ -174,13 +175,19 @@ _BLOCK_CELLS = 1 << 18
 _MAPPED_BYTES = 1 << 22
 
 
-def zero_matrix(n: int) -> np.ndarray:
-    """A writable n x n int32 matrix of zeros."""
-    size = 4 * n * n
+def colour_dtype(k: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and int32 that holds every colour in [1..k]."""
+    return np.dtype(np.uint8 if k <= 0xFF else np.uint16 if k <= 0xFFFF else np.int32)
+
+
+def zero_matrix(n: int, k: int) -> np.ndarray:
+    """A writable n x n matrix of zeros of colour_dtype(k)."""
+    dtype = colour_dtype(k)
+    size = dtype.itemsize * n * n
     if size < _MAPPED_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.zeros((n, n), dtype=np.int32)
+        return np.zeros((n, n), dtype=dtype)
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(buf, dtype=np.int32).reshape(n, n)
+    return np.frombuffer(buf, dtype=dtype).reshape(n, n)
 
 
 def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
@@ -190,9 +197,8 @@ def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
         yield lo, min(lo + rows, n)
 
 
-# the int32 matrix of a Colouring holds colours up to _MAX_COLOUR
-_INT32 = np.iinfo(np.int32)
-_MAX_COLOUR = _INT32.max
+# the widest matrix of a Colouring, int32, holds colours up to _MAX_COLOUR
+_MAX_COLOUR = np.iinfo(np.int32).max
 
 
 # mirror_upper and the symmetry check transpose square tiles of this side:
@@ -225,11 +231,12 @@ def _is_symmetric(m: np.ndarray) -> bool:
 class Colouring:
     """A complete-graph edge colouring, edge (u,v) -> colour in [1..k].
 
-    Backed by a read-only symmetric n x n integer matrix (0 diagonal) for O(1)
-    edge access and vectorised row scans. The matrix is copied unless the
-    caller hands over a fresh int32 one with copy=False. A colouring made by
-    `painted` holds only its lex records: its rows are painted band by band
-    when written, and its matrix is built when something first reads it.
+    Backed by a read-only symmetric n x n matrix (0 diagonal) of colour_dtype(k)
+    for O(1) edge access and vectorised row scans. An integer matrix is
+    copied unless the caller hands over a fresh one of that type with
+    copy=False. A colouring made by `painted` holds only its lex records: its
+    rows are painted band by band when written, and its matrix is built when
+    something first reads it.
     The colour counts are taken on the first colour_counts call and kept.
     """
 
@@ -241,11 +248,15 @@ class Colouring:
         m = np.asarray(matrix)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} != ({n},{n})")
-        # a wider input is range-checked before the int32 cast could wrap it
-        if m.dtype != np.int32 and (m.min() < _INT32.min or m.max() > _INT32.max):
-            raise ValueError("edge colours must lie in [1..k]")
-        if copy or m.dtype != np.int32:
-            m, source = zero_matrix(n), m
+        if m.dtype.kind not in "iu":  # a cast would truncate a float and read True as 1
+            raise ValueError(f"matrix must hold integers, not {m.dtype}")
+        dtype = colour_dtype(k)
+        if copy or m.dtype != dtype:
+            # a wider input is range-checked before the cast to dtype could wrap it
+            bounds = np.iinfo(dtype)
+            if not np.can_cast(m.dtype, dtype) and (m.min() < bounds.min or m.max() > bounds.max):
+                raise ValueError("edge colours must lie in [1..k]")
+            m, source = zero_matrix(n, k), m
             m[...] = source
         diagonal = np.diagonal(m).copy()
         # with ones on the diagonal, min and max see only the edge colours
@@ -278,6 +289,8 @@ class Colouring:
             edges = (lo - 1) * (hi - lo + 1) + comb(hi - lo + 1, 2)
             if ends[-1] != edges:
                 raise ValueError(f"stream has {ends[-1]} colours for {edges} edges")
+            if min(colours) < 1 or max(colours) > k:  # before the narrow rows wrap it
+                raise ValueError("edge colours must lie in [1..k]")
         col = Colouring.__new__(Colouring)
         col.n, col.k, col._m, col._records, col._counts = n, k, None, tuple(records), None
         return col
@@ -285,7 +298,7 @@ class Colouring:
     @property
     def matrix(self) -> np.ndarray:
         if self._m is None:
-            m = zero_matrix(self.n)
+            m = zero_matrix(self.n, self.k)
             self._paint(m[:-1, 1:], 1, self.n)
             mirror_upper(m)
             self._m = Colouring(self.n, self.k, m, copy=False).matrix
@@ -299,17 +312,17 @@ class Colouring:
 
     def upper_rows(self, u: int, v: int) -> np.ndarray:
         """The colours of the edges (w, w+1), ..., (w, n) for w = u..v-1, one
-        row after another, in a fresh int32 array. A painted colouring with no
-        matrix yet paints these rows alone, and refuses them unless every
-        colour lies in [1..k]."""
+        row after another, in a fresh array of the matrix's type. A painted
+        colouring with no matrix yet paints these rows alone, and refuses them
+        unless every edge is painted."""
         m = self._m
         if m is None:
-            rows = np.zeros((v - u, self.n - u), dtype=np.int32)
+            rows = np.zeros((v - u, self.n - u), dtype=colour_dtype(self.k))
             self._paint(rows, u, v)
         else:
             rows = m[u - 1:v - 1, u:]
         band = np.concatenate([rows[i, i:] for i in range(v - u)])
-        if m is None and (band.min() < 1 or band.max() > self.k):
+        if m is None and band.min() < 1:  # painted() checked every colour against k
             raise ValueError("edge colours must lie in [1..k]")
         return band
 
@@ -320,7 +333,8 @@ class Colouring:
 
     @staticmethod
     def from_edge_colours(n: int, k: int, colours: dict[Edge, int]) -> "Colouring":
-        m = zero_matrix(n)
+        # int64, so that __init__ range-checks every colour before the narrow cast
+        m = np.zeros((n, n), dtype=np.int64)
         for (u, v), c in colours.items():
             u, v = _normalise_edge(u, v)
             m[u - 1, v - 1] = c
@@ -332,8 +346,7 @@ class Colouring:
     @staticmethod
     def monochromatic(n: int, colour: int = 1, k: int | None = None) -> "Colouring":
         k = colour if k is None else k
-        m = zero_matrix(n)
-        m[...] = colour
+        m = np.full((n, n), colour, dtype=np.int64)  # range-checked as in from_edge_colours
         np.fill_diagonal(m, 0)
         return Colouring(n, k, m, copy=False)
 
@@ -518,6 +531,8 @@ def write_colouring(col: Colouring, path: str) -> None:
             quotient = np.empty_like(band)
             for j in range(width - 1, -1, -1):
                 np.floor_divide(band, 10, out=quotient)
+                # unsigned, quotient * 10 - ord("0") wraps below 0, but the
+                # subtraction is exact mod 2^bits and its result, a digit's code, fits
                 band -= quotient * 10 - ord("0")
                 text[:, j] = band
                 band, quotient = quotient, band
@@ -561,7 +576,7 @@ def colouring_rows(path: str):
                 row = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
             if len(row) != n - u:
                 raise ValueError(f"colouring file {path}: row {u} has {len(row)} entries, expected {n - u}")
-            # in int64, before the int32 matrix would wrap an out-of-range colour
+            # in int64, before the narrow matrix would wrap an out-of-range colour
             if row.min() < 1 or row.max() > k:
                 raise ValueError(f"colouring file {path}: row {u} holds a colour outside [1..{k}]")
             yield row
@@ -571,7 +586,7 @@ def colouring_rows(path: str):
 
 def read_colouring(path: str) -> Colouring:
     n, k, rows = colouring_rows(path)
-    m = zero_matrix(n)
+    m = zero_matrix(n, k)
     for u, row in enumerate(rows, 1):
         m[u - 1, u:] = row
     mirror_upper(m)

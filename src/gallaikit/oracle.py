@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (
     STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph, degeneracy, is_n_good,
-    lex_colouring,
+    colour_dtype, lex_colouring,
 )
 from .constructor import standard_search
 from .errors import PreconditionViolation
@@ -321,7 +321,8 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
         return OracleResult(INCONCLUSIVE, nodes=node_budget)
     if not hit:
         return OracleResult(UNREALIZABLE, nodes=nodes)
-    return OracleResult(REALIZABLE, Colouring(n, k, np.array(M, dtype=np.int32), copy=False), nodes)
+    witness = Colouring(n, k, np.array(M, dtype=colour_dtype(k)), copy=False)
+    return OracleResult(REALIZABLE, witness, nodes)
 
 
 # ---------------------------------------------------------------------------

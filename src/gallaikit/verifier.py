@@ -19,7 +19,7 @@ import numpy as np
 from .constructor import SplitCertificate, replay_certificate
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
-    _BLOCK_CELLS, _row_blocks, colour_counts, degeneracy,
+    _row_blocks, colour_counts, degeneracy,
 )
 from .errors import PreconditionViolation
 
@@ -70,10 +70,10 @@ def find_rainbow_triangle(col: Colouring) -> Embedding | None:
     return find_rainbow_clique(col, 3).embedding
 
 
-# cells of one band of the triangle scan, whose int32 slice of the matrix is
-# then _BLOCK_CELLS bytes: at n = 2000 on a 2-core Xeon VM the scan took 2.2 s
-# with these bands and 2.5 s with bands of _BLOCK_CELLS cells
-_BAND_CELLS = _BLOCK_CELLS // 4
+# bytes of a triangle scan band, its slice of M and two boolean buffers: at
+# n = 2000 on a 2-core Xeon VM the scan took 0.62 s on uint8, 1.05 s on uint16
+# and 2.04 s on int32, and up to 20% longer with bands half or twice the size
+_BAND_BYTES = 1 << 19
 
 
 def _triangle_rows(M: np.ndarray):
@@ -81,18 +81,18 @@ def _triangle_rows(M: np.ndarray):
     order, with ws the ascending list of every w > j closing a rainbow
     triangle i j w; pairs with no such w are skipped.
 
-    For each i, one numpy pass covers a band of rows j of at most _BAND_CELLS
-    cells, written into two buffers made once, so memory is the same at any
+    For each i, one numpy pass covers a band of rows j of at most _BAND_BYTES
+    bytes, written into two buffers made once, so memory is the same at any
     n. (Temporaries made per band left the heap fragmented: 1 MB more peak
     RSS at n = 2000.) Cell (j, w) of a band tells whether i j w is a rainbow
     triangle for every w > i, so a band with no rainbow triangle is left at
     once, and only a band with one is cut to w > j."""
-    n = M.shape[0]
-    buffers = np.empty((2, max(_BAND_CELLS, n)), dtype=bool)
+    n, cells = M.shape[0], _BAND_BYTES // (M.itemsize + 2)
+    buffers = np.empty((2, max(cells, n)), dtype=bool)
     for i in range(n - 2):
         lo = i + 1
         while lo < n - 1:
-            hi = min(n - 1, lo + max(1, _BAND_CELLS // (n - lo)))
+            hi = min(n - 1, lo + max(1, cells // (n - lo)))
             c = M[i, lo:hi, None]
             a = M[i, None, lo + 1:]
             b = M[lo:hi, lo + 1:]
@@ -143,12 +143,15 @@ def colour_degrees(col: Colouring) -> np.ndarray:
     """Entry v-1 = number of distinct colours on the edges at vertex v.
 
     Each block of rows is sorted; a row's one 0, its diagonal, sorts first,
-    so the nonzero steps between neighbours count its distinct colours.
+    so the nonzero steps between neighbours count its distinct colours. No
+    step is negative, so np.diff cannot wrap. Rows are sorted as int32, which
+    numpy sorts with SIMD: a 128 x 1024 uint8 block sorted 18 times slower.
     """
     M = col.matrix
     degrees = np.empty(col.n, dtype=np.intp)
     for lo, hi in _row_blocks(col.n):
-        degrees[lo:hi] = np.count_nonzero(np.diff(np.sort(M[lo:hi], axis=1), axis=1), axis=1)
+        rows = np.sort(M[lo:hi].astype(np.int32), axis=1)
+        degrees[lo:hi] = np.count_nonzero(np.diff(rows, axis=1), axis=1)
     return degrees
 
 
@@ -218,12 +221,13 @@ def peels_two_colours(col: Colouring) -> bool:
     n = col.n
     M = col.matrix
     # pair[v, u] names (v, colour of vu) among row v's colours; the diagonal's
-    # 0 is one more pair per row, never counted down
+    # 0 is one more pair per row, never counted down. Rows are taken as int32,
+    # as in colour_degrees: np.unique of a uint8 row took 2.4 times as long
     pair = np.empty((n, n), dtype=np.intp)
     colours = np.empty(n, dtype=np.intp)
     first = 0
     for v in range(n):
-        used, pair[v] = np.unique(M[v], return_inverse=True)
+        used, pair[v] = np.unique(M[v].astype(np.int32), return_inverse=True)
         pair[v] += first
         first += used.size
         colours[v] = used.size - 1

@@ -35,3 +35,7 @@ def test_k4_bulk_runs_correctly():
 
 def test_k3_roundtrip_runs_correctly():
     _run_workload("k3-roundtrip")
+
+
+def test_oracle_runs_correctly():
+    _run_workload("oracle")

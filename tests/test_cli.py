@@ -435,7 +435,7 @@ def test_verify_seq_alone_builds_no_matrix(tmp_path, monkeypatch, capsys):
                "--k", "2", "--out", col, "--cert", cert) == 0
     write_sequence(balanced_sequence(6, 2), seqf)
 
-    def refuse(n):
+    def refuse(n, k):
         raise _MatrixBuilt
 
     monkeypatch.setattr(core, "zero_matrix", refuse)
@@ -496,9 +496,10 @@ def test_largest_k_on_two_vertices_verifies_in_one_gib(tmp_path):
 
 @_READS_VMHWM
 def test_bulk_construct_and_verify_seq_peak_near_a_bare_import(tmp_path):
-    # at n = 3000 the int32 matrix takes 36 MB: K4 construct --out paints its
-    # colouring band by band and verify --seq counts rows as it reads them,
-    # so neither holds it; verify --seq holds the file's data lines
+    # at n = 3000 and k = 60 the uint8 matrix takes 9 MB (an int32 one took
+    # 36 MB): K4 construct --out paints its colouring band by band and verify
+    # --seq counts rows as it reads them, so neither holds it; verify --seq
+    # holds the file's data lines
     col, seqf = tmp_path / "bulk.col", tmp_path / "bulk.seq"
     write_sequence(balanced_sequence(3000, 60), seqf)
     bare = _gallaikit_child([])
@@ -516,7 +517,7 @@ def test_k4_construct_out_builds_no_matrix(tmp_path, monkeypatch, capsys):
     painted = constructor.construct_mindeg3(40, balanced_sequence(40, 7))
     write_colouring(Colouring(40, 7, painted.matrix), want)
 
-    def refuse(n):
+    def refuse(n, k):
         raise _MatrixBuilt
 
     for module in (core, constructor):
@@ -536,9 +537,9 @@ def test_verify_cert_builds_one_matrix(tmp_path, monkeypatch, capsys):
                "--k", "5", "--out", col, "--cert", cert) == 0
     calls = []
     for module in (core, constructor):
-        def counted(n, module=module, orig=module.zero_matrix):
+        def counted(n, k, module=module, orig=module.zero_matrix):
             calls.append(module.__name__)
-            return orig(n)
+            return orig(n, k)
 
         monkeypatch.setattr(module, "zero_matrix", counted)
     assert run("verify", "--colouring", col, "--cert", cert, "--target", "builtin:K3") == 0

@@ -1,3 +1,4 @@
+import mmap
 import pickle
 import random
 import time
@@ -14,6 +15,7 @@ from gallaikit.core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
+    _MAPPED_BYTES,
     _TILE,
     balanced_sequence,
     colour_counts,
@@ -156,10 +158,11 @@ class TestColouring:
         assert col.colour_of(1, 2) == 1
 
     def test_mapped_matrix_behaves_like_an_array(self, tmp_path):
-        # from n = 1024 on, zero_matrix maps the matrix's own pages
-        n = 1024
-        m = zero_matrix(n)
-        assert m.shape == (n, n) and m.dtype == np.int32 and not m.any()
+        # from 4 MiB on, zero_matrix maps the matrix's own pages: n = 2048 in uint8
+        n = 2048
+        m = zero_matrix(n, 3)
+        assert m.shape == (n, n) and m.dtype == np.uint8 and not m.any()
+        assert m.nbytes >= _MAPPED_BYTES and isinstance(m.base.base.obj, mmap.mmap)
         col = Colouring.monochromatic(n, colour=2, k=3)
         with pytest.raises(ValueError):
             col.matrix[0, 1] = 1
@@ -192,8 +195,8 @@ class TestColouring:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Colouring(n, 2, np.array(rows))
 
-    # a wider input is range-checked before the int32 cast, which would wrap
-    # 2**32 + 1 to 1 and 2**32 to 0
+    # a wider input is range-checked before the cast to the matrix type, uint8
+    # here, which like int32 would wrap 2**32 + 1 to 1 and 2**32 to 0
     @pytest.mark.parametrize("rows", [
         [[0, 2 ** 32 + 1], [2 ** 32 + 1, 0]],
         [[2 ** 32, 1], [1, 0]],
@@ -202,6 +205,30 @@ class TestColouring:
     def test_rejects_values_int32_would_wrap(self, rows):
         with pytest.raises(ValueError, match=r"^edge colours must lie in \[1..k\]$"):
             Colouring(2, 2, np.array(rows, dtype=np.int64))
+
+    # 257 in uint8 would be 1, a colour in [1..2]
+    @pytest.mark.parametrize("make", [
+        lambda: Colouring(2, 2, np.array([[0, 257], [257, 0]], dtype=np.int32)),
+        lambda: Colouring(2, 2, np.array([[0, 257], [257, 0]], dtype=np.uint16)),
+        lambda: Colouring.from_edge_colours(2, 2, {(1, 2): 257}),
+        lambda: Colouring.from_edge_colours(2, 2, {(1, 2): np.int64(257)}),
+        lambda: Colouring.monochromatic(2, colour=257, k=2),
+        lambda: Colouring.painted(2, 2, [(1, 2, (257,), (1,))]),
+    ], ids=["int32", "uint16", "edge-colours", "numpy-colour", "monochromatic", "painted"])
+    def test_rejects_values_the_narrow_type_would_wrap(self, make):
+        with pytest.raises(ValueError, match=r"^edge colours must lie in \[1..k\]$"):
+            make()
+
+    # a cast would truncate 1.5 to 1, and read True as colour 1
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0, 1.5], [1.5, 0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False, True], [True, False]]),
+        np.array([[0, 1], [1, 0]], dtype=object),
+    ], ids=["float", "whole-float", "bool", "object"])
+    def test_rejects_non_integer_matrix(self, matrix):
+        with pytest.raises(ValueError, match=f"^matrix must hold integers, not {matrix.dtype}$"):
+            Colouring(2, 2, matrix)
 
     def test_int32_input_is_copied_once(self):
         n = 1000
@@ -249,7 +276,7 @@ class TestColouring:
             assert colour_counts(col) == (full[1:] // 2).tolist()
 
     def test_counting_reader_matches_colour_counts(self, tmp_path, rng):
-        # several bands of 2**18 cells; one band of k > C(n,2) cells; k >> n
+        # several bands of _BLOCK_CELLS; one band of k > C(n,2) cells; k >> n
         for n, k in ((1000, 3), (700, 300000), (5, 10 ** 6), (1, 4)):
             gen = np.random.default_rng(rng.randint(0, 10 ** 9))
             m = np.triu(gen.integers(1, k + 1, (n, n), dtype=np.int32), 1)
@@ -332,7 +359,8 @@ class TestFileFormats:
     def test_writer_memory_does_not_grow_with_colours(self, tmp_path):
         def peak(low, high):
             m = np.triu(np.random.default_rng(7).integers(low, high + 1, (600, 600), dtype=np.int32), 1)
-            col = Colouring(600, high, m + m.T)
+            # one matrix type for both, so that only the digit count differs
+            col = Colouring(600, 2 ** 31 - 1, m + m.T)
             tracemalloc.start()
             try:
                 write_colouring(col, tmp_path / "a.col")
