@@ -213,6 +213,36 @@ def test_certify_refuses_a_sequence_that_is_not_n_good(kind, m, tmp_path):
         1, "", "error: sequence sums to 2, not C(5,2) = 10\n")
 
 
+# Colours past k that a digit parse would take for colours in [1..k] if it
+# wrapped in a type only wide enough for k: 300 is 44 in uint8, 65536 is 0
+# and 99999 is 34463 in uint16, 9999999999 is 1410065407 in int32.
+WRAPPING_COLOURS = [(k, token) for k in (100, 200, 250, 255) for token in ("256", "300", "999", "1000")]
+WRAPPING_COLOURS += [(65535, "65536"), (65535, "99999"),
+                     (2 ** 31 - 1, "2147483648"), (2 ** 31 - 1, "9999999999")]
+
+
+@pytest.mark.parametrize("k, token", WRAPPING_COLOURS, ids=[f"{k}-{t}" for k, t in WRAPPING_COLOURS])
+def test_colour_past_k_is_refused_at_every_width(k, token, tmp_path):
+    path, seqf = tmp_path / "wide.col", tmp_path / "wide.seq"
+    path.write_text(f"3 {k}\n1 {token}\n1\n")
+    message = f"colouring file {path}: row 1 holds a colour outside [1..{k}]"
+    assert _read(read_colouring, path) == message
+    # a sequence of 2^31-1 budgets cannot be written, so there the rows are only checked
+    argv = ["verify", "--colouring", path]
+    if k <= 65535:
+        seqf.write_text(f"3 {k}\n3{' 0' * (k - 1)}\n")
+        argv += ["--seq", seqf]
+    assert _run(argv) == (1, "", f"error: {message}\n")
+
+
+def test_leading_zeros_are_read(tmp_path):
+    path, seqf = tmp_path / "zeros.col", tmp_path / "zeros.seq"
+    path.write_text("3 9\n007 1\n1\n")
+    assert read_colouring(path).colour_of(1, 2) == 7
+    seqf.write_text("3 9\n2 0 0 0 0 0 1 0 0\n")
+    assert _run(["verify", "--colouring", path, "--seq", seqf]) == (0, "OK\n", "")
+
+
 # --- fuzzing ---------------------------------------------------------------
 
 READERS = {"seq": read_sequence, "target": read_target, "cert": read_certificate,
