@@ -495,12 +495,13 @@ def read_sequence(path: str) -> DistributionSequence:
 _BAND_CELLS = 1 << 16
 
 
-def _bands(n: int):
-    """(u, v, cells): upper-triangle rows u..v-1 hold `cells` cells."""
+def _bands(n: int, most: int):
+    """(u, v, cells): upper-triangle rows u..v-1 hold `cells` cells, at most
+    `most` unless row u alone holds more."""
     u = 1
     while u < n:
         v, cells = u + 1, n - u
-        while v < n and cells + n - v <= _BAND_CELLS:
+        while v < n and cells + n - v <= most:
             cells += n - v
             v += 1
         yield u, v, cells
@@ -521,7 +522,7 @@ def write_colouring(col: Colouring, path: str) -> None:
     n = col.n
     with open(path, "wb") as f:
         f.write(f"{n} {col.k}\n".encode())
-        for u, v, cells in _bands(n):
+        for u, v, cells in _bands(n, _BAND_CELLS):
             band = col.upper_rows(u, v)
             width = len(str(int(band.max())))
             text = np.empty((cells, width + 1), dtype=np.uint8)
@@ -541,72 +542,171 @@ def write_colouring(col: Colouring, path: str) -> None:
             f.write(text[keep])
 
 
+# The canonical check reads a .col file in chunks of this many bytes, and the
+# reader parses bands of at most this many cells: their largest temporaries,
+# 8 bytes a cell, then stay below glibc's trim threshold. Larger chunks and
+# bands were slower at n = 2400 (2^16 cells: 11,000 page faults a read).
+_CHUNK = 1 << 16
+_READ_CELLS = 1 << 15
+
+
+def _canonical_line_ends(f) -> np.ndarray | None:
+    """The offset of the end of each line of the binary file f, past its last
+    byte for a last line with no newline, when f is in the writer's form:
+    digits, spaces and newlines alone, each line led by a digit. None for any
+    other file, an empty one too."""
+    ends, offset, after_newline = [], 0, True
+    while chunk := f.read(_CHUNK):
+        text = np.frombuffer(chunk, dtype=np.uint8)
+        newlines = np.flatnonzero(text == ord("\n"))
+        starts = newlines[newlines < len(text) - 1] + 1  # of the lines after them
+        digits = np.count_nonzero(text - np.uint8(ord("0")) < 10)
+        if (digits + np.count_nonzero(text == ord(" ")) + len(newlines) < len(text)
+                or (text[starts] < ord("0")).any() or after_newline and text[0] < ord("0")):
+            return None
+        ends.append(newlines + offset)
+        offset += len(text)
+        after_newline = text[-1] == ord("\n")
+    if not offset:
+        return None
+    return np.concatenate(ends + [[offset]] * (not after_newline))
+
+
+def _band_colours(buf: np.ndarray, n: int, u: int, v: int, k: int, width: int, row_ends):
+    """The colours of rows u..v-1 of a canonical .col file, one row after
+    another in colour_dtype(k), from buf: width + 1 spaces, the rows' text,
+    then a newline; the newline ending row w is buf[row_ends[w - u]]. None
+    unless each row w holds n-w tokens of 1 to width digits a space apart,
+    each in [1..k]; so a token of more digits than k has, such as 007 for
+    7, is left to the per-line parser."""
+    seps = np.flatnonzero(buf < ord("0"))[width + 1:]
+    if (len(seps) != (v - u) * (2 * n - u - v + 1) // 2
+            or not np.array_equal(seps[np.cumsum(np.arange(n - u, n - v, -1)) - 1], row_ends)):
+        return None
+    # 10**width - 1 fits, so no sum of the digits wraps
+    values = np.zeros(len(seps), dtype=np.uint8 if width < 3 else np.uint16 if width < 5 else np.int64)
+    live = np.ones(len(seps), dtype=bool)
+    at = seps - 1
+    for j in range(width):
+        digits = buf[at]
+        live &= digits >= ord("0")  # at is still in the token that ends at seps
+        digits -= ord("0")
+        digits *= live
+        values += digits.astype(values.dtype, copy=False) * values.dtype.type(10 ** j)
+        at -= 1
+    # an empty token reads 0; a token longer than width reads its last width digits
+    if values.min() < 1 or values.max() > k or (live & (buf[at] >= ord("0"))).any():
+        return None
+    return values.astype(colour_dtype(k), copy=False)
+
+
 def colouring_rows(path: str):
-    """(n, k, rows) of a .col file, header and row count checked; rows yields
-    row u = 1..n-1 as an int64 array of n-u colours in [1..k], checked as it
-    is reached, so a file with several defects reports the first of them."""
-    lines = _data_lines(path)
-    if not lines:
-        raise ValueError(f"colouring file {path}: empty")
-    header = lines[0].split()
+    """(n, k, bands) of a .col file, header and row count checked; bands
+    yields (u, v, band) for the rows u..v-1 of each of _bands(n, _READ_CELLS),
+    band holding their colours one row after another in colour_dtype(k).
+    Each band is checked as it is reached, so a file with several defects
+    reports the first of them.
+
+    A file in the writer's form (see _canonical_line_ends) is read band by
+    band, each parsed from its bytes with numpy; it holds no data line. Any
+    band that parse refuses, and every row of any other file, is read line
+    by line as below, with the same results and messages."""
+    with open(path, "rb") as f:
+        ends = _canonical_line_ends(f)
+        f.seek(0)
+        header = f.read(ends[0]).decode() if ends is not None else None
+    lines = None
+    if ends is None:
+        try:
+            lines = _data_lines(path)
+        except ValueError as ex:  # not UTF-8
+            raise ValueError(f"colouring file {path}: {ex}") from None
+        if not lines:
+            raise ValueError(f"colouring file {path}: empty")
+        header = lines[0]
+    header = header.split()
     if len(header) != 2 or not all(map(_is_integer, header)) or min(map(int, header)) < 1:
         raise ValueError(f"colouring file {path}: header must be 'n k' with integers n >= 1, k >= 1")
     n, k = map(int, header)
     if k > _MAX_COLOUR:
         raise ValueError(f"colouring file {path}: k = {k} exceeds the largest colour {_MAX_COLOUR}")
-    if len(lines) != n:
-        raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {len(lines) - 1}")
+    count = len(lines if ends is None else ends)
+    if count != n:
+        raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {count - 1}")
     # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so every row of a file
     # with a sign in it is read by the token rule; files the writer makes have
     # none. So is a row np.fromstring cannot read: it splits at C whitespace
     # only, str.split also at separators such as "\x1c" and "\u3000"
-    signed = any("+" in ln or "-" in ln for ln in lines)
+    signed = lines is not None and any("+" in ln or "-" in ln for ln in lines)
 
-    def rows():
-        for u in range(1, n):
-            try:
-                row = None if signed else np.fromstring(lines[u], dtype=np.int64, sep=" ")
-            except ValueError:
-                row = None
-            if row is None or len(row) != n - u:
-                tokens = lines[u].split()
-                if not all(map(_is_integer, tokens)):
-                    raise ValueError(f"colouring file {path}: row {u} holds a token that is not "
-                                     "a base-10 integer")
-                row = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
-            if len(row) != n - u:
-                raise ValueError(f"colouring file {path}: row {u} has {len(row)} entries, expected {n - u}")
-            # in int64, before the narrow matrix would wrap an out-of-range colour
-            if row.min() < 1 or row.max() > k:
-                raise ValueError(f"colouring file {path}: row {u} holds a colour outside [1..{k}]")
-            yield row
+    def row(u: int, line: str) -> np.ndarray:
+        try:
+            got = None if signed else np.fromstring(line, dtype=np.int64, sep=" ")
+        except ValueError:
+            got = None
+        if got is None or len(got) != n - u:
+            tokens = line.split()
+            if not all(map(_is_integer, tokens)):
+                raise ValueError(f"colouring file {path}: row {u} holds a token that is not "
+                                 "a base-10 integer")
+            got = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
+        if len(got) != n - u:
+            raise ValueError(f"colouring file {path}: row {u} has {len(got)} entries, expected {n - u}")
+        # in int64, before the narrow band would wrap an out-of-range colour
+        if got.min() < 1 or got.max() > k:
+            raise ValueError(f"colouring file {path}: row {u} holds a colour outside [1..{k}]")
+        return got
 
-    return n, k, rows()
+    def by_lines(u: int, text) -> np.ndarray:
+        band = np.concatenate([row(w, line.strip()) for w, line in enumerate(text, u)])
+        return band.astype(colour_dtype(k))
+
+    def bands():
+        if ends is None:
+            for u, v, _ in _bands(n, _READ_CELLS):
+                yield u, v, by_lines(u, lines[u:v])
+            return
+        width = len(str(k))
+        with open(path, "rb") as f:
+            for u, v, _ in _bands(n, _READ_CELLS):
+                # width + 1 spaces, then rows u..v-1 with the newline of the last one
+                buf = np.empty(width + 1 + ends[v - 1] - ends[u - 1], dtype=np.uint8)
+                buf[:width + 1], buf[-1] = ord(" "), ord("\n")
+                f.seek(ends[u - 1] + 1)
+                if f.readinto(memoryview(buf)[width + 1:-1]) != len(buf) - width - 2:
+                    raise ValueError(f"colouring file {path}: shortened while it was read")
+                band = _band_colours(buf, n, u, v, k, width, ends[u:v] - ends[u - 1] + width)
+                if band is None:
+                    band = by_lines(u, buf[width + 1:-1].tobytes().decode().split("\n"))
+                yield u, v, band
+
+    return n, k, bands()
 
 
 def read_colouring(path: str) -> Colouring:
-    n, k, rows = colouring_rows(path)
+    n, k, bands = colouring_rows(path)
     m = zero_matrix(n, k)
-    for u, row in enumerate(rows, 1):
-        m[u - 1, u:] = row
+    for u, v, band in bands:
+        start = 0
+        for w in range(u, v):
+            m[w - 1, w:] = band[start:start + n - w]
+            start += n - w
     mirror_upper(m)
     return Colouring(n, k, m, copy=False)
 
 
-def row_colour_counts(n: int, k: int, rows) -> list[int]:
-    """The colour_counts of the (n, k, rows) colouring_rows returns, with no
-    matrix: the rows are bincounted in bands of at least k cells, so the k+1
-    bins of every band cost O(n^2 + k) in all."""
+def row_colour_counts(n: int, k: int, bands) -> list[int]:
+    """The colour_counts of the (n, k, bands) colouring_rows returns, with no
+    matrix. A band of more than k cells is bincounted; a shorter one, which
+    only a large k makes, is counted by sorting, so the counts cost
+    O(n^2 log n + k) in all."""
     counts = np.zeros(k + 1, dtype=np.int64)
-    band = np.empty(max(_BLOCK_CELLS, k) + n, dtype=np.int64)
-    cells = 0
-    for row in rows:
-        band[cells:cells + len(row)] = row
-        cells += len(row)
-        # the last row, and only it, holds one cell: the last band is counted
-        if cells >= max(_BLOCK_CELLS, k) or len(row) == 1:
-            counts += np.bincount(band[:cells], minlength=k + 1)
-            cells = 0
+    for _, _, band in bands:
+        if len(band) > k:
+            counts += np.bincount(band, minlength=k + 1)
+        else:
+            colours, times = np.unique(band, return_counts=True)
+            counts[colours] += times
     return counts[1:].tolist()
 
 

@@ -227,7 +227,7 @@ def test_painted_mindeg3_at_n700_writes_the_bytes_of_its_matrix(tmp_path):
     # cross several writer bands, and their triangle rows cross band edges
     seq = random_sequence(random.Random(700), 700, 30)
     col, recs = construct_mindeg3_trace(seq.n, seq)
-    bands = list(core._bands(seq.n))
+    bands = list(core._bands(seq.n, core._BAND_CELLS))
     edges = {v for _, v, _ in bands[:-1]}
     assert len(bands) > 3 and any(lo < v < hi for lo, hi, _, _ in recs for v in edges)
     painted, matrix = _painted_and_matrix_bytes(col, tmp_path)

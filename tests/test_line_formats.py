@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gallaikit import core
 from gallaikit.bounds import read_infeasibility
 from gallaikit.cli import main
 from gallaikit.constructor import (
@@ -377,3 +378,113 @@ def test_mutated_colouring_exits_0_or_1(text):
         assert [col.matrix[u - 1, u:].tolist() for u in range(1, col.n)] == want
         assert (code, out, err) == (0, "OK\n", "")
         assert counts == (col.n, col.k, colour_counts(col))
+
+
+# --- the canonical reader across band edges --------------------------------
+
+# widths of k around the digit counts where the band parser widens its sums
+CANONICAL_KS = [1, 2, 9, 10, 99, 100, 255, 256, 999, 1000, 65535, 65536, 2 ** 31 - 1]
+
+
+@st.composite
+def canonical_mutation(draw) -> str:
+    """(k, text): a colouring text in the writer's form with up to three
+    defects in its rows that keep it to digits, spaces and newlines."""
+    n, k = draw(st.integers(2, 9)), draw(st.sampled_from(CANONICAL_KS))
+    colour = st.integers(1, k) | st.sampled_from([1, k])
+    rows = [[draw(colour) for _ in range(n - u)] for u in range(1, n)]
+    text = "".join(" ".join(map(str, row)) + "\n" for row in [[n, k]] + rows)
+    header = len(f"{n} {k}\n")
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = [m.span() for m in re.finditer("[0-9]+", text[header:])]
+        if not tokens:
+            break
+        a, b = (header + i for i in draw(st.sampled_from(tokens)))
+        at = {c: [i for i, x in enumerate(text) if x == c and i >= header] for c in " \n"}
+        kind = draw(st.sampled_from(["digit", "drop", "duplicate", "double-space", "swap",
+                                     "prefix-0", "append-digit"]))
+        digit = draw(st.sampled_from("0123456789"))
+        if kind == "digit":
+            i = draw(st.integers(a, b - 1))
+            text = text[:i] + digit + text[i + 1:]
+        elif kind == "drop":
+            text = text[:a] + text[b + (text[b:b + 1] == " "):]
+        elif kind == "duplicate":
+            text = text[:a] + text[a:b] + " " + text[a:]
+        elif kind == "double-space" and at[" "]:
+            i = draw(st.sampled_from(at[" "]))
+            text = text[:i] + " " + text[i:]
+        elif kind == "swap" and at[" "] and at["\n"]:
+            i, j = sorted([draw(st.sampled_from(at[" "])), draw(st.sampled_from(at["\n"]))])
+            text = text[:i] + text[j] + text[i + 1:j] + text[i] + text[j + 1:]
+        elif kind == "prefix-0":
+            text = text[:a] + "0" + text[a:]
+        elif kind == "append-digit":
+            text = text[:b] + digit + text[b:]
+    return k, text
+
+
+def _token_rule_message(text: str) -> str | None:
+    """The first defect of a colouring text of digits, spaces and newlines,
+    in the order the reader checks: None when it has none."""
+    rows = [line.split() for line in text.split("\n") if line.strip()]
+    if not rows:
+        return "empty"
+    if len(rows[0]) != 2 or min(map(int, rows[0])) < 1:
+        return "header must be 'n k' with integers n >= 1, k >= 1"
+    n, k = map(int, rows[0])
+    if k > 2 ** 31 - 1:
+        return f"k = {k} exceeds the largest colour 2147483647"
+    if len(rows) != n:
+        return f"expected {n - 1} rows, got {len(rows) - 1}"
+    for u, row in enumerate(rows[1:], 1):
+        if len(row) != n - u:
+            return f"row {u} has {len(row)} entries, expected {n - u}"
+        if not all(1 <= int(c) <= k for c in row):
+            return f"row {u} holds a colour outside [1..{k}]"
+    return None
+
+
+@given(case=canonical_mutation(), band_cells=st.integers(1, 12))
+@settings(max_examples=400, deadline=None)
+def test_canonical_reader_follows_the_token_rule_across_bands(case, band_cells):
+    # bands of a few cells: a defect lands in a middle band after the bands
+    # before it were read by the band parser and yielded
+    k, text = case
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_READ_CELLS", band_cells)
+        path = Path(d) / "fuzz.col"
+        path.write_text(text, encoding="utf-8")
+        col = _read(read_colouring, path)
+        # counting takes O(k) memory, gigabytes at k = 2^31 - 1
+        counts = _read(counted_colouring, path) if k <= 65536 else col
+    message = _token_rule_message(text)
+    if message is not None:
+        assert col == counts == f"colouring file {path}: {message}"
+    else:
+        assert [col.matrix[u - 1, u:].tolist() for u in range(1, col.n)] == _token_rule_rows(text)
+        assert k > 65536 or counts == (col.n, col.k, colour_counts(col))
+
+
+def test_writer_files_are_parsed_band_by_band(tmp_path, monkeypatch):
+    parsed = []
+
+    def spy(*args):
+        band = band_colours(*args)
+        parsed.append(band is not None)
+        return band
+
+    band_colours = core._band_colours
+    monkeypatch.setattr(core, "_band_colours", spy)
+    monkeypatch.setattr(core, "_READ_CELLS", 5)
+    col = realize_certificate(construct_greedy(12, DistributionSequence.of(12, (30, 20, 16))).certificate)
+    path = tmp_path / "k12.col"
+    write_colouring(col, path)
+    assert read_colouring(path) == col
+    assert len(parsed) == len(list(core._bands(12, 5))) > 3 and all(parsed)
+    # a comment, or a colour with a leading zero, is read line by line
+    parsed.clear()
+    path.write_text("# a comment\n" + path.read_text())
+    assert read_colouring(path) == col and parsed == []
+    path.write_text(path.read_text().split("\n", 1)[1].replace("\n1 ", "\n01 ", 1))
+    assert read_colouring(path) == col and parsed.count(False) == 1
