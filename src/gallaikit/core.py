@@ -543,9 +543,9 @@ def write_colouring(col: Colouring, path: str) -> None:
 
 
 # The canonical check reads a .col file in chunks of this many bytes, and the
-# reader parses bands of at most this many cells: their largest temporaries,
-# 8 bytes a cell, then stay below glibc's trim threshold. Larger chunks and
-# bands were slower at n = 2400 (2^16 cells: 11,000 page faults a read).
+# reader parses bands of at most this many cells. Both were the fastest sizes
+# at n = 2400: bands of 2^16 cells, whose temporaries take 8 bytes a cell,
+# cost 11,000 page faults a read, and 2^15 none.
 _CHUNK = 1 << 16
 _READ_CELLS = 1 << 15
 
@@ -619,7 +619,7 @@ def colouring_rows(path: str):
     if ends is None:
         try:
             lines = _data_lines(path)
-        except ValueError as ex:  # not UTF-8
+        except UnicodeDecodeError as ex:
             raise ValueError(f"colouring file {path}: {ex}") from None
         if not lines:
             raise ValueError(f"colouring file {path}: empty")
