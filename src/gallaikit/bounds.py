@@ -11,19 +11,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .core import (
     Colouring,
     DistributionSequence,
     TargetGraph,
     balanced_sequence,
-    colour_counts,
+    colour_tally,
     data_lines,
     int_tokens,
     is_n_good,
 )
 from .constructor import StageConstants, floor_root
 from .errors import NotGallai, PreconditionViolation, RangeError
-from .verifier import find_gallai_partition, find_rainbow_triangle
+from .verifier import find_rainbow_triangle, gallai_parts
 
 KIND_RAINBOW_KM = "RainbowKmForced"
 KIND_TREE = "TreeForced"
@@ -320,25 +322,43 @@ class PeelTrace:
 def peel_splitting_process(col: Colouring, stop: int) -> PeelTrace:
     """Repeatedly find a Gallai partition of the current block, peel its
     smallest part, and record sizes, base colours, and base-colour counts,
-    until at most `stop` vertices remain."""
+    until at most `stop` vertices remain. Each block's partition is the one
+    find_gallai_partition gives it.
+
+    One triangle scan covers every block: an induced sub-colouring of a
+    Gallai colouring is Gallai. Each block is counted once, by colour_tally.
+
+    A block whose partition has one base colour a and q >= 3 parts passes
+    its other q-1 parts on to the next block, which is not searched. In the
+    next block those parts are still the components of the non-a edges:
+    each is joined inside itself by non-a edges and to the others only in a.
+    There are at least two of them, so {a} is valid with them as its parts;
+    and for any other colour c, the non-c edges hold every a-edge between
+    the parts, a connected graph on the whole block, so {c} has one part and
+    is invalid. The first valid candidate, a singleton, is therefore {a}.
+    """
     if stop < 1:
         raise PreconditionViolation("stop must be >= 1")
     tri = find_rainbow_triangle(col)
     if tri is not None:
         raise NotGallai(tri)
-    active = list(range(1, col.n + 1))
+    active = np.arange(1, col.n + 1)
     trace = PeelTrace(col.n, stop)
+    base, parts = (), []
     while len(active) > stop:
-        sub = col.induced(active)
-        # induced sub-colourings of a Gallai colouring are Gallai: no rescan
         x = len(active)
-        p = find_gallai_partition(sub)
-        assert p is not None, f"{x}-vertex Gallai block without a partition (internal bug)"
-        smallest = min(p.parts, key=lambda part: (len(part), part))
-        t = len(smallest)
-        base = tuple(sorted(p.base_colours))
-        base_freq = sum(colour_counts(sub)[c - 1] for c in base)
+        sub = col.induced(active)
+        tally = colour_tally(sub)
+        if len(base) != 1 or len(parts) < 2:
+            found = gallai_parts(sub.matrix, tally)
+            assert found is not None, f"{x}-vertex Gallai block without a partition (internal bug)"
+            base, parts = found
+        s = min(range(len(parts)), key=lambda i: (len(parts[i]), parts[i].tolist()))
+        t = len(parts[s])
+        base_freq = sum(tally.get(c, 0) for c in base)
         trace.steps.append(PeelStep(x, t, x - t, base, t * (x - t), base_freq))
-        peeled = {active[v - 1] for v in smallest}
-        active = [v for v in active if v not in peeled]
+        keep = np.ones(x, dtype=bool)
+        keep[parts[s]] = False
+        active, rank = active[keep], np.cumsum(keep) - 1
+        parts = [rank[part] for i, part in enumerate(parts) if i != s]
     return trace

@@ -19,7 +19,7 @@ import numpy as np
 from .constructor import SplitCertificate, replay_certificate
 from .core import (
     MINDEG3_DEGENERACY, STANDARD_DEGENERACY, Colouring, DistributionSequence, TargetGraph,
-    _row_blocks, colour_counts, degeneracy,
+    _row_blocks, colour_tally, degeneracy,
 )
 from .errors import PreconditionViolation
 
@@ -259,7 +259,7 @@ def settle_target(col: Colouring, H: TargetGraph, cert_ok: bool,
     is a standard colouring. A cycle crosses the first split that separates
     two of its vertices at least twice, in that split's one colour, so col has
     no rainbow cycle; this settles every H that is not a forest.
-    "colours": col's colour_counts show fewer colours than H has edges.
+    "colours": col's colour_tally shows fewer colours than H has edges.
     "peel": H has degeneracy >= 3, so it contains a subgraph of minimum
     degree >= 3, and peels_two_colours(col) rules out a rainbow copy of one.
     A complete H then goes to find_rainbow_clique, which is exact and whose
@@ -274,7 +274,7 @@ def settle_target(col: Colouring, H: TargetGraph, cert_ok: bool,
     d = degeneracy(H)
     if cert_ok and d >= STANDARD_DEGENERACY:
         return SubgraphSearch(NONE, proof="certificate")
-    if sum(1 for count in colour_counts(col) if count) < len(H.edges):
+    if len(colour_tally(col)) < len(H.edges):
         return SubgraphSearch(NONE, proof="colours")
     if d >= MINDEG3_DEGENERACY and peels_two_colours(col):
         return SubgraphSearch(NONE, proof="peel")
@@ -301,17 +301,63 @@ class GallaiPartition:
 
 def _components(join: np.ndarray) -> np.ndarray:
     """Label each vertex with the least vertex (0-based) of its component of
-    the symmetric boolean n x n relation join, by a frontier BFS over rows."""
+    the symmetric boolean n x n relation join, by a frontier BFS over rows
+    from each vertex not yet labelled; when vertex 0's component spans the
+    relation, that first BFS is the only one."""
     label = np.full(join.shape[0], -1, dtype=np.intp)
-    for v in range(join.shape[0]):
-        if label[v] >= 0:
-            continue
+    left = np.zeros(1, dtype=np.intp)
+    while left.size:
+        v = int(left[0])
         label[v] = v
-        frontier = np.array([v])
+        frontier = left[:1]
         while frontier.size:
-            frontier = np.flatnonzero(join[frontier].any(axis=0) & (label < 0))
+            frontier = (join[frontier].any(axis=0) & (label < 0)).nonzero()[0]
             label[frontier] = v
+        left = (label < 0).nonzero()[0]
     return label
+
+
+def gallai_parts(M: np.ndarray, tally: dict[int, int]
+                 ) -> tuple[tuple[int, ...], list[np.ndarray]] | None:
+    """(base, parts) of the first valid candidate base set of the colouring
+    with matrix M and colour_tally tally, or None when no candidate is valid.
+    base is the candidate, its colours ascending; parts are arrays of 0-based
+    vertices, ascending, the parts in the order of their least vertex.
+
+    Candidates are the singletons, then the pairs, of the colours on at
+    least n-1 edges, in colour order (see find_gallai_partition), less
+    those that cannot be the first valid one on any colouring. Every vertex
+    has an edge into another part, so a valid {a} needs colour a in every
+    row of M. So does the first valid pair {a,b}, and colour b too: each of
+    a and b joins its parts in a connected graph (find_gallai_partition),
+    so each part has an edge of each colour into another. Only colours in
+    every row are therefore tried, alone and in pairs. A candidate whose
+    non-base edges join every vertex to vertex 0 has one part and is left
+    after that one BFS. A singleton {a} with two or more parts is valid on
+    any colouring, since every edge between parts is an a-edge; only a
+    pair's part pairs are checked for one colour each.
+    """
+    n = M.shape[0]
+
+    def candidates():
+        everywhere = []
+        for c in (c for c, count in tally.items() if count >= n - 1):
+            join = M != c
+            if not join.all(axis=1).any():
+                everywhere.append(c)
+                yield (c,), join
+        for a, b in combinations(everywhere, 2):
+            yield (a, b), (M != a) & (M != b)
+
+    for base, join in candidates():
+        label = _components(join)
+        if not label.any():
+            continue
+        if len(base) == 2 and ((label[:, None] != label) & (M != M[label][:, label])).any():
+            continue
+        order = np.argsort(label, kind="stable")
+        return base, np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return None
 
 
 def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
@@ -329,6 +375,7 @@ def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     and c lies in another part, the triangle a a' c is not rainbow, so
     colour(a,c) = colour(a',c). A candidate whose part pairs are not one
     colour (possible only on a colouring that is not Gallai) is skipped.
+    gallai_parts makes the search.
 
     Every Gallai colouring on n >= 2 vertices has a partition with at most
     two base colours (Gallai 1967). Its base set is a candidate, and the
@@ -343,24 +390,20 @@ def find_gallai_partition(col: Colouring) -> GallaiPartition | None:
     sum s_i s_j >= n-1 edges (remove a leaf part at a time). So the first
     valid candidate among all singletons and pairs of used colours has only
     colours on at least n-1 edges, and it is the first valid one tried here.
+    The same argument shows that each colour of the first valid candidate
+    colours some part pair, so the result's base colours are the candidate.
     """
     if col.n < 2:
         raise PreconditionViolation("need n >= 2")
     M = col.matrix
-    wide = [c for c, count in enumerate(colour_counts(col), 1) if count >= col.n - 1]
-    for base in [(c,) for c in wide] + list(combinations(wide, 2)):
-        join = M != base[0]
-        if len(base) == 2:
-            join &= M != base[1]
-        label = _components(join)
-        crossing = label[:, None] != label[None, :]
-        if not crossing.any() or (crossing & (M != M[np.ix_(label, label)])).any():
-            continue
-        reps = np.unique(label)
-        between = {(i, j): int(M[reps[i], reps[j]]) for i, j in combinations(range(len(reps)), 2)}
-        parts = tuple(tuple((np.flatnonzero(label == r) + 1).tolist()) for r in reps)
-        return GallaiPartition(frozenset(between.values()), parts, between)
-    return None
+    found = gallai_parts(M, colour_tally(col))
+    if found is None:
+        return None
+    parts = found[1]
+    between = {(i, j): int(M[parts[i][0], parts[j][0]])
+               for i, j in combinations(range(len(parts)), 2)}
+    return GallaiPartition(frozenset(between.values()),
+                           tuple(tuple((part + 1).tolist()) for part in parts), between)
 
 
 def verify_gallai_partition(col: Colouring, p: GallaiPartition) -> bool:

@@ -8,9 +8,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from gallaikit.bounds import PeelStep
 from gallaikit.core import (
-    Colouring, DistributionSequence, TargetGraph, colouring_rows, row_colour_counts,
+    Colouring, DistributionSequence, TargetGraph, colour_counts, colouring_rows,
+    row_colour_counts,
 )
+from gallaikit.verifier import find_gallai_partition
 
 
 def brute_degeneracy(H: TargetGraph) -> int:
@@ -144,6 +147,35 @@ def seeded_colouring(seed: int) -> Colouring:
             for v in range(u + 1, n):
                 m[u, v] = m[v, u] = rng.randint(1, k)
     return Colouring(n, k, m)
+
+
+def reference_peel(col: Colouring, stop: int) -> tuple[list, list]:
+    """(steps, partitions): peel_splitting_process as a loop that rebuilds
+    each block with col.induced and searches it with find_gallai_partition,
+    with each block's partition in block numbering. col must be Gallai."""
+    active = list(range(1, col.n + 1))
+    steps, partitions = [], []
+    while len(active) > stop:
+        sub = col.induced(active)
+        x = len(active)
+        p = find_gallai_partition(sub)
+        smallest = min(p.parts, key=lambda part: (len(part), part))
+        t = len(smallest)
+        base = tuple(sorted(p.base_colours))
+        base_freq = sum(colour_counts(sub)[c - 1] for c in base)
+        steps.append(PeelStep(x, t, x - t, base, t * (x - t), base_freq))
+        partitions.append(p)
+        peeled = {active[v - 1] for v in smallest}
+        active = [v for v in active if v not in peeled]
+    return steps, partitions
+
+
+def searched_blocks(steps, partitions) -> list[int]:
+    """The sizes of the blocks that peel_splitting_process searches, from
+    reference_peel's steps and partitions: every block but one that follows
+    a block whose partition has one base colour and three or more parts."""
+    return [s.x_before for s, before in zip(steps, [None] + partitions)
+            if before is None or len(before.base_colours) > 1 or len(before.parts) < 3]
 
 
 def brute_force_rainbow_triangles(col: Colouring) -> list[tuple[int, int, int]]:

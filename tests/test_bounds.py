@@ -1,11 +1,14 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, isqrt, log
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from gallaikit import bounds
 from gallaikit.core import (
     Colouring,
     DistributionSequence,
@@ -13,6 +16,7 @@ from gallaikit.core import (
     is_n_good,
 )
 from gallaikit.bounds import (
+    PeelTrace,
     _log_upper,
     balanced_tree_forced_check,
     clash_bound_check,
@@ -30,7 +34,7 @@ from gallaikit.constructor import construct_greedy, realize_certificate
 from gallaikit.errors import NotGallai, PreconditionViolation, RangeError
 from gallaikit.oracle import is_realizable
 
-from conftest import random_sequence
+from conftest import random_sequence, reference_peel, searched_blocks
 
 
 class TestClashBound:
@@ -218,7 +222,72 @@ class TestGeneralLower:
             general_lower_sequence(TargetGraph.complete(2), 100)
 
 
+def _substitution(rng: random.Random, n: int, k: int) -> Colouring:
+    """A Gallai colouring by recursive substitution on shuffled vertices: each
+    level splits its vertices into 2-6 parts and joins every part pair in
+    one colour, drawn from a one-colour or a two-colour base for that level."""
+    m = np.zeros((n, n), dtype=np.int64)
+
+    def fill(vs: list[int]) -> None:
+        if len(vs) < 2:
+            return
+        q = rng.randint(2, min(6, len(vs)))
+        label = list(range(q)) + [rng.randrange(q) for _ in vs[q:]]
+        rng.shuffle(label)
+        parts = [[v for v, p in zip(vs, label) if p == i] for i in range(q)]
+        base = rng.sample(range(1, k + 1), rng.choice((1, 2)))
+        for a, b in combinations(parts, 2):
+            m[np.ix_(a, b)] = rng.choice(base)
+        for part in parts:
+            fill(part)
+
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    fill(vertices)
+    return Colouring(n, k, np.maximum(m, m.T))
+
+
+def _chain(rng: random.Random, n: int, k: int) -> Colouring:
+    """Vertex v joins every lower vertex in one random colour."""
+    m = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        m[v, :v] = m[:v, v] = rng.randint(1, k)
+    return Colouring(n, k, m)
+
+
 class TestPeelSplitting:
+    def test_matches_the_block_by_block_loop(self, monkeypatch):
+        """The peel gives reference_peel's trace, which searches every block
+        with find_gallai_partition; it searches just the blocks that
+        searched_blocks names, and finds the same partition in each."""
+        rng = random.Random(34)
+        cols = [_substitution(rng, rng.randint(2, 60), rng.randint(2, 9)) for _ in range(120)]
+        cols += [_chain(random.Random(seed), 90, 8) for seed in range(4)]
+        found = []
+        orig = bounds.gallai_parts
+
+        def recorded(M, tally):
+            found.append(orig(M, tally))
+            return found[-1]
+
+        monkeypatch.setattr(bounds, "gallai_parts", recorded)
+        kinds = {"carried": 0, "two colours": 0}
+        for col in cols:
+            for stop in (1, 10):
+                found.clear()
+                steps, partitions = reference_peel(col, stop)
+                assert peel_splitting_process(col, stop) == PeelTrace(col.n, stop, steps)
+                by_size = {s.x_before: p for s, p in zip(steps, partitions)}
+                searched = searched_blocks(steps, partitions)
+                assert len(found) == len(searched)
+                for x, (base, parts) in zip(searched, found):
+                    p = by_size[x]
+                    assert base == tuple(sorted(p.base_colours))
+                    assert tuple(tuple((part + 1).tolist()) for part in parts) == p.parts
+                kinds["carried"] += len(steps) - len(searched)
+                kinds["two colours"] += sum(len(s.base_colours) == 2 for s in steps)
+        assert min(kinds.values()) >= 300, kinds
+
     def test_monochromatic_k5(self):
         trace = peel_splitting_process(Colouring.monochromatic(5), 1)
         assert trace.sizes_consistent()

@@ -493,13 +493,18 @@ def _peak_kb(proc: subprocess.CompletedProcess) -> int:
 
 @_READS_VMHWM
 def test_largest_k_on_two_vertices_verifies_in_one_gib(tmp_path):
-    # no --seq, --cert or --target: nothing is counted, so nothing takes
-    # O(k) memory; counting 2**31 colours would ask for 16 GiB
+    # no --seq, --cert or --target: nothing is counted; a list of all 2**31
+    # colours' counts would ask for 16 GiB
     path, seqf = tmp_path / "kmax.col", tmp_path / "three.seq"
     path.write_text("2 2147483647\n1\n")
     proc = _gallaikit_child(["verify", "--colouring", path], address_space=1 << 30)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == "OK"
+    # --target counts only the colours present, for settle_target and the partition
+    proc = _gallaikit_child(["verify", "--colouring", path, "--target", "builtin:K3"],
+                            address_space=1 << 30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:2] == ["PARTITION base=1 part=1 part=2", "OK"]
     # a --seq for another k is refused from the header, before any row is read
     seqf.write_text("2 3\n1 0 0\n")
     proc = _gallaikit_child(["verify", "--colouring", path, "--seq", seqf],

@@ -9,9 +9,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gallaikit.bounds import peel_splitting_process
 from gallaikit.constructor import SplitCertificate, StepRecord, realize_certificate
 from gallaikit.core import (
-    Colouring, DistributionSequence, colour_counts, read_colouring, write_colouring,
+    Colouring, DistributionSequence, colour_counts, colour_tally, read_colouring,
+    write_colouring,
 )
 from gallaikit.verifier import (
     colour_degrees, find_gallai_partition, find_rainbow_triangle, peels_two_colours,
@@ -21,8 +23,8 @@ from gallaikit.verifier import (
 TOP = 2 ** 31 - 1
 TYPES = [(1, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
          (65_536, np.int32), (TOP, np.int32)]
-# colour_counts, and so find_gallai_partition and the certificate checks, take
-# O(k) memory (ROADMAP item 12): 16 GiB at k = TOP
+# colour_counts lists all k colours, and a certificate replays under k
+# budgets, so both take O(k) memory (ROADMAP item 12): 16 GiB at k = TOP
 COUNTED = 65_536
 
 
@@ -57,13 +59,21 @@ def _chain(rng: random.Random, n: int, k: int) -> SplitCertificate:
     return SplitCertificate(n, k, steps)
 
 
+def _painted(cert: SplitCertificate) -> Colouring:
+    """The colouring a _chain certificate paints, with no replay under budgets."""
+    m = np.zeros((cert.n, cert.n), dtype=np.int64)
+    for step in cert.steps:
+        m[step.hi - 1, :step.hi - 1] = m[:step.hi - 1, step.hi - 1] = step.colour
+    return Colouring(cert.n, cert.k, m)
+
+
 def _colourings(k: int):
     rng = random.Random(k)
     for n in (1, 2, 3, 5, 6):
         yield _random(rng, n, k)
-    if k <= COUNTED:
-        for n in (2, 4, 6):
-            yield realize_certificate(_chain(rng, n, k))
+    for n in (2, 4, 6):
+        cert = _chain(rng, n, k)
+        yield realize_certificate(cert) if k <= COUNTED else _painted(cert)
 
 
 @pytest.mark.parametrize("k, dtype", TYPES, ids=[str(k) for k, _ in TYPES])
@@ -92,10 +102,12 @@ def test_kernels_match_int64(k):
         assert find_rainbow_triangle(col) == find_rainbow_triangle(wide)
         assert peels_two_colours(col) == peels_two_colours(wide)
         assert np.array_equal(colour_degrees(col), colour_degrees(wide))
+        assert colour_tally(col) == colour_tally(wide)
         if k <= COUNTED:
             assert colour_counts(col) == colour_counts(wide)
-            if col.n >= 2 and find_rainbow_triangle(col) is None:
-                assert find_gallai_partition(col) == find_gallai_partition(wide)
+        if col.n >= 2 and find_rainbow_triangle(col) is None:
+            assert find_gallai_partition(col) == find_gallai_partition(wide)
+            assert peel_splitting_process(col, 1) == peel_splitting_process(wide, 1)
 
 
 @pytest.mark.parametrize("k", [k for k, _ in TYPES if k <= COUNTED])

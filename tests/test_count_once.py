@@ -1,7 +1,8 @@
 """Each colouring's colours are counted once, however many callers ask.
 
-`core.colour_counts` counts a colouring's matrix on its first call and keeps
-the counts on the colouring. The counting pass, `core._count_matrix`, is
+`core.colour_tally` counts a colouring's matrix on its first call and keeps
+the counts of the colours present on the colouring; `core.colour_counts`
+lists them for all k colours. The counting pass, `core._count_matrix`, is
 wrapped here in every gallaikit module that binds it, so that a second pass
 over the same colouring anywhere in `verify` or the peel would be seen.
 """
@@ -19,8 +20,8 @@ from gallaikit.constructor import (
     construct_greedy, construct_mindeg3, realize_certificate, write_certificate,
 )
 from gallaikit.core import (
-    balanced_sequence, colour_counts, lex_colouring, read_colouring, write_colouring,
-    write_sequence,
+    balanced_sequence, colour_counts, colour_tally, lex_colouring, read_colouring,
+    write_colouring, write_sequence,
 )
 
 
@@ -102,5 +103,7 @@ def test_cached_counts_equal_a_fresh_count(tmp_path):
         "induced": realized.induced([2, 3, 5, 8, 13, 21, 29]),
     }
     for name, col in made.items():
-        assert colour_counts(col) == _fresh_counts(col), name
-        assert list(col._counts) == _fresh_counts(col), name
+        fresh = _fresh_counts(col)
+        assert colour_counts(col) == fresh, name
+        assert col._counts == {c: count for c, count in enumerate(fresh, 1) if count}, name
+        assert colour_tally(col) == col._counts and colour_tally(col) is not col._counts, name

@@ -49,7 +49,7 @@ from gallaikit.verifier import (
 
 from conftest import (
     brute_force_rainbow_triangles, moreover_holds, random_colouring, random_sequence,
-    seeded_colouring,
+    reference_peel, searched_blocks, seeded_colouring,
 )
 
 
@@ -512,7 +512,7 @@ class TestGallaiPartition:
 
     def test_callers_share_one_routine(self):
         assert cli.find_gallai_partition is verifier.find_gallai_partition
-        assert bounds.find_gallai_partition is verifier.find_gallai_partition
+        assert bounds.gallai_parts is verifier.gallai_parts
 
 
 class TestVerifyCertificate:
@@ -752,12 +752,27 @@ class TestOneTriangleScan:
         assert len(calls) == gallai_scans
         assert scans == [("scan", 40)]
 
-    def test_peel_scans_once(self, scans):
+    def test_peel_scans_once(self, scans, monkeypatch):
+        # one triangle scan, and a partition search for each block but those
+        # whose parts the block before passed on, as reference_peel's
+        # partitions of every block show: here blocks 12, 10 and 8 are
+        # searched, and the 8 parts in one colour are carried down to 2
         seq = DistributionSequence.of(12, (30, 20, 16))
         col = realize_certificate(construct_greedy(12, seq).certificate)
+        steps, partitions = reference_peel(col, 1)
+        scans.clear()
+        orig = bounds.gallai_parts
+
+        def counted(M, tally):
+            scans.append(("partition", len(M)))
+            return orig(M, tally)
+
+        monkeypatch.setattr(bounds, "gallai_parts", counted)
         trace = bounds.peel_splitting_process(col, stop=1)
-        assert len(trace.steps) > 1
-        assert scans == [("scan", 12)] + [("partition", s.x_before) for s in trace.steps]
+        assert trace.steps == steps and len(steps) > 1
+        searched = searched_blocks(steps, partitions)
+        assert searched == [12, 10, 8]
+        assert scans == [("scan", 12)] + [("partition", x) for x in searched]
 
 
 K4, K5 = TargetGraph.complete(4), TargetGraph.complete(5)
