@@ -96,14 +96,7 @@ class SplitState:
 
     def largest_block(self) -> tuple[int, int] | None:
         """Largest active block, ties broken towards the smallest lo."""
-        best = None
-        best_size = 1
-        for lo, hi in self.blocks.items():
-            size = hi - lo + 1
-            if size > best_size or (size == best_size and best is not None and lo < best[0]):
-                best = (lo, hi)
-                best_size = size
-        return best
+        return max(self.blocks.items(), key=lambda b: (b[1] - b[0], -b[0]), default=None)
 
     @property
     def done(self) -> bool:

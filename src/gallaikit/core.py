@@ -9,6 +9,7 @@ from data that never change, so readers that race there keep equal values.
 from __future__ import annotations
 
 import mmap
+import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -659,16 +660,18 @@ def colouring_rows(path: str):
     count = len(lines if ends is None else ends)
     if count != n:
         raise ValueError(f"colouring file {path}: expected {n - 1} rows, got {count - 1}")
-    # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so every row of a file
-    # with a sign in it is read by the token rule; files the writer makes have
-    # none. So is a row np.fromstring cannot read: it splits at C whitespace
-    # only, str.split also at separators such as "\x1c" and "\u3000"
-    signed = lines is not None and any("+" in ln or "-" in ln for ln in lines)
+    # np.fromstring reads "+ 1" as 1 and "1 -" as 1 0, so a row with a sign in
+    # it is read by the token rule; files the writer makes have none. So is a
+    # row np.fromstring cannot read to its end: it splits at C whitespace only,
+    # str.split also at separators such as "\x1c" and "\u3000". Older numpy
+    # releases only warn (DeprecationWarning) where the read stops short, and
+    # by_lines turns that warning into an error
 
     def row(u: int, line: str) -> np.ndarray:
+        signed = "+" in line or "-" in line
         try:
             got = None if signed else np.fromstring(line, dtype=np.int64, sep=" ")
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             got = None
         if got is None or len(got) != n - u:
             tokens = line.split()
@@ -684,7 +687,9 @@ def colouring_rows(path: str):
         return got
 
     def by_lines(u: int, text) -> np.ndarray:
-        band = np.concatenate([row(w, line.strip()) for w, line in enumerate(text, u)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            band = np.concatenate([row(w, line.strip()) for w, line in enumerate(text, u)])
         return band.astype(colour_dtype(k))
 
     def bands():

@@ -196,6 +196,13 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
     # while it holds, edge (u, v) takes no colour below M[u][v-1]
     tied = [True] * (n + 1)
     nodes = 0
+    colour_sets: dict[int, tuple[int, ...]] = {}
+
+    def colours(mask: int) -> tuple[int, ...]:
+        # the colours of a domain mask, ascending; each mask is listed once per call
+        if mask not in colour_sets:
+            colour_sets[mask] = tuple(c for c in range(1, k + 1) if mask >> (c - 1) & 1)
+        return colour_sets[mask]
 
     def shrink(j: int, mask: int, trail: list[tuple[int, int]]) -> bool:
         # cap/forced updates must run to completion even on failure, so that
@@ -207,11 +214,7 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
         trail.append((j, old))
         domains[j] = new
         ok = new != 0
-        removed = old & ~new
-        while removed:
-            low = removed & -removed
-            removed ^= low
-            c = low.bit_length()
+        for c in colours(old & ~new):
             cap[c] -= 1
             if cap[c] < budgets[c - 1]:
                 ok = False
@@ -229,40 +232,29 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
             if new & (new - 1) == 0 and new:
                 forced[new.bit_length()] -= 1
             domains[j] = old
-            back = old & ~new
-            while back:
-                low = back & -back
-                back ^= low
-                cap[low.bit_length()] += 1
+            for c in colours(old & ~new):
+                cap[c] += 1
 
     def assign(idx: int) -> bool:
         nonlocal nodes
         if idx == total:
             return True
         u, v = edges[idx]
-        dom = domains[idx]
-        single = dom & (dom - 1) == 0
+        dom = colours(domains[idx])
+        single = len(dom) == 1
         # retire this edge from the uncoloured pool; a colour it leaves one
         # edge short of its budget is the only colour it may take (need), and
         # two such colours leave it none (need = -1)
         need = 0
-        pool = dom
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            c = low.bit_length()
+        for c in dom:
             cap[c] -= 1
             if cap[c] < budgets[c - 1]:
                 need = c if need == 0 else -1
         if single:
-            forced[dom.bit_length()] -= 1
+            forced[dom[0]] -= 1
         floor = M[u - 1][v - 2] if use_symmetry and u < v - 1 and tied[v] else 0
         seen_unused: set[int] = set()
-        choices = dom
-        while choices:
-            low = choices & -choices
-            choices ^= low
-            c = low.bit_length()
+        for c in dom:
             b = budgets[c - 1]
             if b == 0:
                 continue
@@ -307,12 +299,9 @@ def is_realizable(seq: DistributionSequence, H: TargetGraph,
         if floor:
             tied[v] = True
         if single:
-            forced[dom.bit_length()] += 1
-        pool = dom
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            cap[low.bit_length()] += 1
+            forced[dom[0]] += 1
+        for c in dom:
+            cap[c] += 1
         return False
 
     try:
@@ -360,7 +349,12 @@ class ExactGReport:
     k: int
     n_max: int
     per_n: dict[int, list[SequenceVerdict]] = field(default_factory=dict)
-    partial: bool = False
+
+    @property
+    def partial(self) -> bool:
+        """Some row is inconclusive, or the table stops short of n_max."""
+        cut = max(self.per_n) < self.n_max
+        return cut or any(self.all_realizable(n) is None for n in self.per_n)
 
     def all_realizable(self, n: int) -> bool | None:
         rows = self.per_n[n]
@@ -401,9 +395,8 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
     node_budget_per_seq or what is left of total_node_budget if less; the
     total bounds the standard search's memo misses plus the exhaustive
     search's nodes. Once it is spent, the rest of the current n is left
-    inconclusive, no larger n is enumerated, and the report is flagged
-    partial; a sequence that exhausts its budget is inconclusive and flags
-    it partial too."""
+    inconclusive and no larger n is enumerated; a sequence that exhausts its
+    budget is inconclusive. Either way the report reads partial."""
     if k < 1:
         raise PreconditionViolation(f"need k >= 1, got k={k}")
     if n_max < 2:
@@ -417,7 +410,6 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
         for e in n_good_multisets(n, k):
             if spent >= total_node_budget:
                 rows.append(SequenceVerdict(e, INCONCLUSIVE))
-                report.partial = True
                 continue
             standard = "-"
             if cyclic:
@@ -428,17 +420,13 @@ def exact_g(H: TargetGraph, k: int, n_max: int,
                     continue
                 if standard == "giveup":
                     rows.append(SequenceVerdict(e, INCONCLUSIVE, standard))
-                    report.partial = True
                     continue
             res = is_realizable(DistributionSequence(n, k, e), H,
                                 node_budget=min(node_budget_per_seq, total_node_budget - spent))
             spent += res.nodes
-            if res.status == INCONCLUSIVE:
-                report.partial = True
             rows.append(SequenceVerdict(e, res.status, standard))
         report.per_n[n] = rows
-        if spent >= total_node_budget and n < n_max:
-            report.partial = True
+        if spent >= total_node_budget:
             break
     return report
 

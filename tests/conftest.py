@@ -58,6 +58,7 @@ COLOURING_READER_MESSAGES = [
     ("3 2\n+ 1 1\n1\n", "row 1 holds a token that is not a base-10 integer", "lone-plus"),
     ("3 2\n1 +\n1\n", "row 1 holds a token that is not a base-10 integer", "trailing-plus"),
     ("3 2\n1 1\n-\n", "row 2 holds a token that is not a base-10 integer", "lone-minus"),
+    ("3 2\n1 -\n1\n", "row 1 holds a token that is not a base-10 integer", "trailing-minus"),
     ("3 2\n1 x\n1\n", "row 1 holds a token that is not a base-10 integer", "token-x"),
     ("0 2\n", "header must be 'n k' with integers n >= 1, k >= 1", "n0"),
     ("3 2 9\n1 1\n1\n", "header must be 'n k' with integers n >= 1, k >= 1", "three-tokens"),

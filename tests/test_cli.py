@@ -1,11 +1,14 @@
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+import warnings
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gallaikit import cli, constructor, core
@@ -435,6 +438,29 @@ def test_seq_is_checked_before_the_rows_it_would_count(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: sequence file {seqf}: expected the line "
                                        "'n k', then one line of k budgets\n")
     assert run("verify", "--colouring", path, "--seq", seqf, "--target", "builtin:K3") == 1
+    assert capsys.readouterr() == ("", f"error: colouring file {path}: row 1 holds a token "
+                                       "that is not a base-10 integer\n")
+
+
+def test_a_row_read_short_with_a_warning_is_refused(tmp_path, capsys, monkeypatch):
+    # numpy releases that only warn where np.fromstring stops short would
+    # read "1 2x" as 1 2; the reader takes that warning as the error it is now
+    def warn_and_stop(text, dtype, sep):
+        got = []
+        for token in text.split():
+            digits = re.match(r"\d*", token).group()
+            if digits:
+                got.append(int(digits))
+            if digits != token:
+                warnings.warn("string or file could not be read to its end due to unmatched data",
+                              DeprecationWarning)
+                break
+        return np.array(got, dtype=dtype)
+
+    monkeypatch.setattr(core.np, "fromstring", warn_and_stop)
+    path = tmp_path / "bad.col"
+    path.write_text("# note\n3 2\n1 2x\n1\n")
+    assert run("verify", "--colouring", path) == 1
     assert capsys.readouterr() == ("", f"error: colouring file {path}: row 1 holds a token "
                                        "that is not a base-10 integer\n")
 

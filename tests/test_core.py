@@ -417,6 +417,14 @@ class TestFileFormats:
             read_colouring(p)
         assert str(caught.value) == f"colouring file {p}: {message}"
 
+    def test_a_signed_row_reads_as_without_its_sign(self, tmp_path):
+        # the sign test is made row by row; the other rows still go to np.fromstring
+        p = tmp_path / "a.col"
+        p.write_text("# note\n4 2\n1 2 1\n2 1\n1\n")
+        want = read_colouring(p)
+        p.write_text("# note\n4 2\n1 2 1\n2 +1\n1\n")
+        assert read_colouring(p) == want
+
     def test_target_roundtrip(self, tmp_path):
         H = petersen()
         p = tmp_path / "H.txt"

@@ -7,6 +7,7 @@ import pytest
 
 from gallaikit import oracle
 from gallaikit.core import DistributionSequence, TargetGraph, balanced_sequence, colour_counts
+from gallaikit.cli import main
 from gallaikit.constructor import construct_greedy, standard_search
 from gallaikit.errors import PreconditionViolation
 from gallaikit.oracle import (
@@ -299,6 +300,44 @@ class TestExactG:
         assert rep.partial and max(rep.per_n) == 4
         row = rep.per_n[4][[r.e for r in rep.per_n[4]].index((5, 1, 0))]
         assert (row.status, row.standard) == (INCONCLUSIVE, "giveup")
+
+    @pytest.mark.parametrize("name, H, k, n_max", [("k3", K3, 3, 7),
+                                                   ("c4", TargetGraph.cycle(4), 3, 7)],
+                             ids=["K3", "C4"])
+    def test_every_total_budget_reads_partial_exactly_when_cut(self, monkeypatch, capsys,
+                                                                tmp_path, name, H, k, n_max):
+        # a table is partial exactly when some row is inconclusive or it stops
+        # short of n_max, which is exactly when its total budget is below the
+        # full table's spend; the CLI then marks it PARTIAL and exits 3
+        spent = []
+
+        def standard(*args, **kwargs):
+            status, nodes = standard_search(*args, **kwargs)
+            spent.append(nodes)
+            return status, nodes
+
+        def exhaustive(*args, **kwargs):
+            res = is_realizable(*args, **kwargs)
+            spent.append(res.nodes)
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "standard_search", standard)
+            m.setattr(oracle, "is_realizable", exhaustive)
+            assert not exact_g(H, k, n_max).partial
+        full = sum(spent)
+        table = tmp_path / f"realizability_{name}_k{k}.txt"
+        for budget in range(1, full + 1):
+            rep = exact_g(H, k, n_max, total_node_budget=budget)
+            cut = max(rep.per_n) < n_max or any(r.status == INCONCLUSIVE
+                                                for rows in rep.per_n.values() for r in rows)
+            assert rep.partial == cut == (budget < full), budget
+            code = main(["oracle", "--target", f"builtin:{name.upper()}", "--k", str(k),
+                         "--n-max", str(n_max), "--total-budget", str(budget),
+                         "--out-dir", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert (code, err) == ((3, "PARTIAL\n") if cut else (0, "")), budget
+            assert table.read_text().split("\n", 1)[0].endswith(" PARTIAL") == cut, budget
 
     def test_spent_search_reports_its_budget(self):
         res = is_realizable(DistributionSequence.of(7, (7, 7, 7)), TargetGraph.cycle(4),
